@@ -29,12 +29,7 @@ import numpy as np
 from repro.context import RunContext, current_context, use_context
 from repro.core.assignment import Assignment, Subsystem
 from repro.core.costs import NUM_SUBSYSTEMS, ClusterCosts, cluster_costs
-from repro.core.lp_builder import (
-    BatchedProblem,
-    build_p2,
-    build_p2_structured,
-    reshape_solution,
-)
+from repro.core.lp_builder import build_p2, build_p2_structured, reshape_solution
 from repro.lp.structured import solve_structured, solve_structured_batch
 from repro.core.task import Task
 from repro.lp.backends import solve as lp_solve
@@ -260,8 +255,13 @@ def _solve_p2(
         rungs: List[Tuple[str, bool]] = []
         for backend in (options.backend, *options.fallback_backends):
             rungs.append((backend, False))
-            if backend == "interior-point" and context.lp_sparse:
-                # Dense retry right below the sparse IPM rung.
+            if (
+                backend == "interior-point"
+                and context.lp_sparse
+                and not context.reference
+            ):
+                # Dense retry right below the sparse IPM rung (reference
+                # mode builds P2 dense already, so a retry would repeat it).
                 rungs.append((backend, True))
         for backend, dense in rungs:
             if backend == "structured":
@@ -325,7 +325,9 @@ def _solve_p2(
     return _greedy_p2(costs, last=last)
 
 
-#: Backends whose Step-1 solve has a block-diagonal batched path.
+#: Backends whose Step-1 solve goes through :func:`_solve_p2_batch`: the
+#: structured lockstep loop, or per-block interior-point solves sharing
+#: the whole-batch cache.
 _BATCHABLE_BACKENDS = ("structured", "interior-point")
 
 
@@ -356,9 +358,10 @@ def _solve_p2_batch(
     succeeds on every healthy instance.  Any block the batched solver
     cannot clear falls back to the sequential :func:`_solve_p2`, which
     retains the full backend/relaxation ladder, so the returned results
-    match the sequential path block for block (the batched solvers iterate
-    each block's exact sequential trajectory; see
-    :func:`repro.lp.structured.solve_structured_batch`).
+    match the sequential path block for block (the structured batch
+    iterates each block's exact batch-of-one trajectory, see
+    :func:`repro.lp.structured.solve_structured_batch`; the
+    interior-point backend solves the blocks one by one).
 
     Cache interaction: a whole-batch fingerprint is probed first
     (:meth:`~repro.caching.lp_cache.LPSolveCache.lookup_batch`), then
@@ -429,7 +432,7 @@ def _solve_p2_batch(
             batch_input = [blocks[index] for index in pending]
         else:
             assert generic is not None
-            batch_input = BatchedProblem([generic[index] for index in pending])
+            batch_input = [generic[index] for index in pending]
         assembly_s = time.perf_counter() - assembly_start
         with span("solve", context=context, backend=backend):
             start = time.perf_counter()

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -163,12 +163,10 @@ class GroupedBoundedLP:
 def solve_structured(
     lp: GroupedBoundedLP, options: StructuredIPMOptions = StructuredIPMOptions()
 ) -> LPResult:
-    """Solve a :class:`GroupedBoundedLP` with the structured Mehrotra IPM.
+    """Solve one :class:`GroupedBoundedLP` with the structured Mehrotra IPM.
 
-    The combined variable vector is (x, s) with s the coupling slacks; the
-    equality system is ``[[G, 0], [R, I]] (x, s) = (b_g, r)``.  The normal
-    equations are solved by eliminating the diagonal group block (Schur
-    complement on the K×K coupling block).
+    A batch of one: :func:`solve_structured_batch` is the only optimised
+    loop.  In reference mode the seed solver runs instead.
 
     :param lp: the structured LP.
     :param options: solver tunables.
@@ -176,271 +174,7 @@ def solve_structured(
     if perf.reference_mode():
         # Differential-testing / benchmarking hook: run the seed solver.
         return solve_structured_reference(lp, options)
-    n = lp.num_vars
-    k = lp.num_coupling
-    m_g = lp.num_groups
-    c = lp.c
-    r_mat = lp.coupling_a
-    bounded = np.isfinite(lp.upper)
-    any_bounded = bool(np.any(bounded))
-    all_bounded = bool(np.all(bounded))
-    u = lp.upper
-
-    # P2 instances built from real workloads bound every variable (the A1
-    # deadline caps), in which case masking by ``bounded`` is the identity:
-    # ``np.where(bounded, a, fill) == a`` and ``a[bounded] == a`` exactly.
-    def where_bounded(values: np.ndarray, fill) -> np.ndarray:
-        return values if all_bounded else np.where(bounded, values, fill)
-
-    def of_bounded(values: np.ndarray) -> np.ndarray:
-        return values if all_bounded else values[bounded]
-    # Flattened bucket indices batching the K per-row group_sums of the
-    # U-block into one bincount (bit-identical: bincount accumulates each
-    # bucket in element order, unchanged by the offset flattening).
-    u_block_offsets = (
-        (np.arange(k)[:, None] * m_g + lp.group_index[None, :]).ravel()
-        if k
-        else None
-    )
-    # Diagonal index of the K×K Schur complement, shared by every solve.
-    schur_diag = np.diag_indices(k) if k else None
-
-    # ---- starting point -------------------------------------------------
-    x = np.where(bounded, np.minimum(u * 0.5, 1.0), 1.0)
-    x = np.maximum(x, 1e-3)
-    s = np.ones(k)
-    w = where_bounded(u - x, 1.0)  # only meaningful where bounded
-    w = np.maximum(w, 1e-3)
-    y_g = np.zeros(m_g)
-    y_r = np.zeros(k)
-    z = np.ones(n)          # dual of x >= 0
-    z_s = np.ones(k)        # dual of s >= 0
-    v = np.where(bounded, 1.0, 0.0)  # dual of x <= u
-
-    norm_b = 1.0 + float(np.linalg.norm(lp.group_rhs)) + float(np.linalg.norm(lp.coupling_b))
-    norm_c = 1.0 + float(np.linalg.norm(c))
-    num_comp = n + k + int(bounded.sum())
-
-    def complementarity() -> float:
-        return (
-            float(x @ z) + float(s @ z_s) + float(of_bounded(w) @ of_bounded(v))
-        ) / num_comp
-
-    # Loop-invariant lookups, bound once (the loop body runs thousands of
-    # times on very small arrays, where attribute access is measurable).
-    group_sums = lp.group_sums
-    group_rhs = lp.group_rhs
-    group_index = lp.group_index
-    coupling_b = lp.coupling_b
-    tolerance = options.tolerance
-    step_fraction = options.step_fraction
-
-    # One errstate for the whole solve: the scaling divisions may
-    # overflow/divide harmlessly (they are clipped right after), and
-    # toggling the FP-error state every iteration is measurable on
-    # small instances.  Settings only silence warnings; no numerics
-    # change.
-    with np.errstate(over="ignore", divide="ignore"):
-        for iteration in range(1, options.max_iterations + 1):
-            # Residuals.
-            r_groups = group_sums(x) - group_rhs
-            r_coupling = (r_mat @ x + s - coupling_b) if k else np.zeros(0)
-            r_upper = where_bounded(x + w - u, 0.0)
-            r_dual_x = (
-                (r_mat.T @ y_r if k else 0.0) + y_g[group_index] + z - v - c
-            )
-            r_dual_s = y_r + z_s if k else np.zeros(0)
-
-            mu = complementarity()
-            # sqrt(v @ v) is np.linalg.norm for real 1-D vectors, minus the
-            # dispatch overhead (same BLAS dot, same rounding).
-            primal_err = (
-                math.sqrt(float(r_groups @ r_groups))
-                + math.sqrt(float(r_coupling @ r_coupling))
-                + math.sqrt(float(r_upper @ r_upper))
-            ) / norm_b
-            dual_err = (
-                math.sqrt(float(r_dual_x @ r_dual_x))
-                + math.sqrt(float(r_dual_s @ r_dual_s))
-            ) / norm_c
-            if max(primal_err, dual_err, mu) < tolerance:
-                return LPResult(
-                    status=LPStatus.OPTIMAL,
-                    x=x.copy(),
-                    objective=lp.objective(x),
-                    iterations=iteration - 1,
-                    backend=_BACKEND_NAME,
-                )
-
-            # Safe denominators, shared by the scaling matrix and both Newton
-            # solves this iteration (the iterate is fixed until the update).
-            x_safe = np.maximum(x, 1e-300)
-            w_safe = np.maximum(w, 1e-300)
-            s_safe = np.maximum(s, 1e-300) if k else np.zeros(0)
-
-            # Scaling diagonals (clip to keep the Schur system finite).
-            v_over_w = v / w_safe
-            d_x = z / x_safe + where_bounded(v_over_w, 0.0)
-            d_s = z_s / s_safe if k else np.zeros(0)
-            theta_x = 1.0 / np.clip(d_x, 1e-12, 1e12)
-            theta_s = 1.0 / np.clip(d_s, 1e-12, 1e12) if k else np.zeros(0)
-
-            # Normal-equation blocks.  Everything here is fixed for the two
-            # Newton solves of this iteration, so build it (including the Schur
-            # complement and the negated residuals) exactly once.
-            diag_g = np.maximum(group_sums(theta_x), 1e-300)
-            if k:
-                rt = r_mat * theta_x  # (K, n) scaled rows
-                u_block = (
-                    np.bincount(
-                        u_block_offsets, weights=rt.ravel(), minlength=m_g * k
-                    )
-                    .reshape(k, m_g)
-                    .T
-                )
-                # rt @ r_mat.T + diag(theta_s) minus the Schur correction,
-                # accumulated in place (adding diag(theta_s) as a full matrix
-                # only normalised off-diagonal -0.0 to +0.0, which compares
-                # equal everywhere downstream).
-                schur = rt @ r_mat.T
-                schur[schur_diag] += theta_s
-                schur -= u_block.T @ (u_block / diag_g[:, None])
-                schur[schur_diag] += 1e-12 * (1.0 + schur.trace() / max(k, 1))
-            else:
-                u_block = np.zeros((m_g, 0))
-            neg_r_groups = -r_groups
-            neg_r_coupling = -r_coupling
-            vw_r_upper = v_over_w * r_upper if any_bounded else None
-
-            def solve_normal(rhs_g: np.ndarray, rhs_r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-                """Solve [[D_g, U], [Uᵀ, S]] (dy_g, dy_r) = (rhs_g, rhs_r)."""
-                if k == 0:
-                    return rhs_g / diag_g, np.zeros(0)
-                dg_inv_rhs = rhs_g / diag_g
-                dy_r = np.linalg.solve(schur, rhs_r - u_block.T @ dg_inv_rhs)
-                dy_g = (rhs_g - u_block @ dy_r) / diag_g
-                return dy_g, dy_r
-
-            def newton(rxz: np.ndarray, rwv: np.ndarray, rsz: np.ndarray):
-                """One KKT solve for given complementarity residuals."""
-                # Collapse to the normal equations in (dy_g, dy_r).
-                g_x = r_dual_x - rxz / x_safe
-                if any_bounded:
-                    g_x = g_x + where_bounded(rwv / w_safe - vw_r_upper, 0.0)
-                # dx = theta_x (A'dy + g_x) form:
-                rhs_g = neg_r_groups - group_sums(theta_x * g_x)
-                if k:
-                    g_s = r_dual_s - rsz / s_safe
-                    rhs_r = neg_r_coupling - rt @ g_x - theta_s * g_s
-                else:
-                    rhs_r = np.zeros(0)
-                dy_g, dy_r = solve_normal(rhs_g, rhs_r)
-                at_dy = dy_g[group_index] + (r_mat.T @ dy_r if k else 0.0)
-                dx = theta_x * (at_dy + g_x)
-                dz = -(rxz + z * dx) / x_safe
-                dw = where_bounded(-r_upper - dx, 0.0)
-                dv = where_bounded(-(rwv + v * dw) / w_safe, 0.0)
-                if k:
-                    ds = theta_s * (dy_r + g_s)
-                    dz_s = -(rsz + z_s * ds) / s_safe
-                else:
-                    ds = np.zeros(0)
-                    dz_s = np.zeros(0)
-                return dx, ds, dw, dy_g, dy_r, dz, dz_s, dv
-
-            def max_step(values: np.ndarray, deltas: np.ndarray) -> float:
-                negative = deltas < 0
-                blocked = values[negative]
-                if not blocked.size:
-                    return 1.0
-                return float(min(1.0, (-blocked / deltas[negative]).min()))
-
-            # The boundary step is a min over every blocking component, so the
-            # three families can be ratio-tested in one fused call (the min over
-            # the concatenation equals the min of the per-family minima).  The
-            # iterate is frozen until the update, so its concatenation is shared
-            # by the predictor and corrector ratio tests.
-            primal_vals = np.concatenate((x, s, of_bounded(w)))
-            dual_vals = np.concatenate((z, z_s, of_bounded(v)))
-
-            def primal_step(dx: np.ndarray, ds: np.ndarray, dw: np.ndarray) -> float:
-                return max_step(primal_vals, np.concatenate((dx, ds, of_bounded(dw))))
-
-            def dual_step(dz: np.ndarray, dz_s: np.ndarray, dv: np.ndarray) -> float:
-                return max_step(dual_vals, np.concatenate((dz, dz_s, of_bounded(dv))))
-
-            # Predictor.
-            rxz_aff = x * z
-            rwv_aff = where_bounded(w * v, 0.0)
-            rsz_aff = s * z_s if k else np.zeros(0)
-            aff = newton(rxz_aff, rwv_aff, rsz_aff)
-            dx_a, ds_a, dw_a, _, _, dz_a, dzs_a, dv_a = aff
-            alpha_p = primal_step(dx_a, ds_a, dw_a)
-            alpha_d = dual_step(dz_a, dzs_a, dv_a)
-            mu_aff = (
-                float((x + alpha_p * dx_a) @ (z + alpha_d * dz_a))
-                + (float((s + alpha_p * ds_a) @ (z_s + alpha_d * dzs_a)) if k else 0.0)
-                + float(
-                    (of_bounded(w) + alpha_p * of_bounded(dw_a))
-                    @ (of_bounded(v) + alpha_d * of_bounded(dv_a))
-                )
-            ) / num_comp
-            sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
-
-            # Corrector.  The predictor residuals are exactly x*z, masked w*v and
-            # s*z_s, so reuse them instead of recomputing the products.
-            sigma_mu = sigma * mu
-            rxz = rxz_aff + dx_a * dz_a - sigma_mu
-            rwv = where_bounded(rwv_aff + dw_a * dv_a - sigma_mu, 0.0)
-            rsz = (rsz_aff + ds_a * dzs_a - sigma_mu) if k else np.zeros(0)
-            dx, ds, dw, dy_g, dy_r, dz, dz_s, dv = newton(rxz, rwv, rsz)
-
-            alpha_p = step_fraction * primal_step(dx, ds, dw)
-            alpha_d = step_fraction * dual_step(dz, dz_s, dv)
-            # The step arrays are dead after the update, so scale them in place
-            # and accumulate: same float ops as `x = x + alpha_p * dx` without
-            # the temporaries.
-            dx *= alpha_p
-            x += dx
-            ds *= alpha_p
-            s += ds
-            dy_g *= alpha_d
-            y_g += dy_g
-            dy_r *= alpha_d
-            y_r += dy_r
-            dz *= alpha_d
-            z += dz
-            dz_s *= alpha_d
-            z_s += dz_s
-            if all_bounded:
-                dw *= alpha_p
-                w += dw
-                dv *= alpha_d
-                v += dv
-            else:
-                w = np.where(bounded, w + alpha_p * dw, w)
-                v = np.where(bounded, v + alpha_d * dv, v)
-
-            # min() <= 0 matches any(v <= 0) here: iterates are never NaN before
-            # this check (steps are finite multiples of finite directions).
-            if x.min() <= 0 or z.min() <= 0 or (k and (s.min() <= 0 or z_s.min() <= 0)):
-                return LPResult(
-                    status=LPStatus.NUMERICAL_ERROR,
-                    x=None,
-                    objective=float("nan"),
-                    iterations=iteration,
-                    backend=_BACKEND_NAME,
-                    message="iterate left the positive orthant",
-                )
-
-        return LPResult(
-            status=LPStatus.ITERATION_LIMIT,
-            x=None,
-            objective=float("nan"),
-            iterations=options.max_iterations,
-            backend=_BACKEND_NAME,
-            message="no convergence within the iteration cap",
-        )
+    return solve_structured_batch([lp], options)[0]
 
 
 class _Block:
@@ -459,6 +193,11 @@ def solve_structured_batch(
 ) -> List[LPResult]:
     """Solve many independent :class:`GroupedBoundedLP` blocks in lockstep.
 
+    Each block's variable vector is (x, s) with s the coupling slacks; its
+    equality system is ``[[G, 0], [R, I]] (x, s) = (b_g, r)``, and the
+    normal equations are solved by eliminating the diagonal group block
+    (Schur complement on the K×K coupling block).
+
     The blocks are concatenated into one block-diagonal mega-problem and
     every Mehrotra iteration advances all of them at once: elementwise work
     (residuals, scaling, directions, updates) runs on the concatenated
@@ -466,12 +205,12 @@ def solve_structured_batch(
     matvecs, the K×K Schur factorisations, complementarity/error dots,
     step-length minima and convergence decisions — run on each block's
     contiguous slice.  Because the per-slice operations see exactly the
-    arrays the sequential solver would, and a min/bincount/dot over a
-    block's slice of the concatenation equals the same reduction over the
+    arrays a batch of one would, and a min/bincount/dot over a block's
+    slice of the concatenation equals the same reduction over the
     standalone block, every block follows the **bit-identical iterate
-    trajectory** of :func:`solve_structured` (the only tolerated deviation
-    is the sign of floating-point zeros in masked fill positions, which
-    can never change a magnitude or comparison).
+    trajectory** of its own :func:`solve_structured` (the only tolerated
+    deviation is the sign of floating-point zeros in masked fill
+    positions, which can never change a magnitude or comparison).
 
     Per-block convergence masking: a block that converges (or leaves the
     positive orthant) is *frozen* — its :class:`LPResult` is recorded with
@@ -480,8 +219,8 @@ def solve_structured_batch(
     per-block work (factorise/solve/reduce) is skipped while the
     stragglers continue.  The loop exits as soon as every block is frozen.
 
-    In reference mode this degrades to a per-block sequential loop so the
-    differential baselines never see the batched code path.
+    In reference mode every block runs the seed solver on its own, so the
+    differential baselines never see the lockstep loop.
 
     :param blocks: independent structured LPs (any mix of sizes; ragged
         batches and a batch of one are fine).
@@ -491,7 +230,7 @@ def solve_structured_batch(
     if not blocks:
         return []
     if perf.reference_mode():
-        return [solve_structured(lp, options) for lp in blocks]
+        return [solve_structured_reference(lp, options) for lp in blocks]
 
     num = len(blocks)
     n_sizes = np.array([lp.num_vars for lp in blocks], dtype=np.intp)
@@ -549,7 +288,7 @@ def solve_structured_batch(
         blk.mu = 0.0
         info.append(blk)
 
-    # ---- starting point (same expressions as the sequential solver) -----
+    # ---- starting point (same expressions as the seed solver) -----------
     x = np.where(bounded, np.minimum(u * 0.5, 1.0), 1.0)
     x = np.maximum(x, 1e-3)
     s = np.ones(k_tot)
@@ -609,9 +348,11 @@ def solve_structured_batch(
     step_fraction = options.step_fraction
     inf = np.inf
 
-    # invalid="ignore" on top of the sequential solver's errstate: the
-    # fused ratio tests evaluate both np.where branches, and the masked-out
-    # branch may hit 0/0 before being discarded.
+    # One errstate for the whole solve: the scaling divisions may
+    # overflow/divide harmlessly (they are clipped right after), and the
+    # fused ratio tests evaluate both np.where branches, whose masked-out
+    # branch may hit 0/0 before being discarded.  Settings only silence
+    # warnings; no numerics change.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for iteration in range(1, options.max_iterations + 1):
             if not active:
@@ -752,8 +493,8 @@ def solve_structured_batch(
 
             def block_steps(dx, ds, dw, dz, dz_s, dv):
                 """Per-block boundary steps: min over each block's slice of
-                the fused per-family ratio arrays (equals the sequential
-                min over the block's concatenated families)."""
+                the fused per-family ratio arrays (equals the min over the
+                block's own concatenated families)."""
                 rat_x = ratios(x, dx)
                 rat_s = ratios(s, ds)
                 rat_w = ratios_bounded(w, dw)

@@ -1,14 +1,16 @@
-"""The batched block-diagonal LP path: batched == sequential, block for block.
+"""The batched block-diagonal LP path: batched == each block alone.
 
-The lockstep mega-solvers (:func:`solve_structured_batch`,
-:func:`solve_interior_point_batch`) advance every pooled block through the
-exact floating-point trajectory the sequential solver would produce:
-elementwise work runs on the concatenated state, every reduction and
-factorisation runs on a block's contiguous slice, and converged blocks are
-frozen while stragglers continue.  These tests pin that contract — same
-objectives (to 1e-9 and bitwise), same iteration counts, same ``lp_hta``
-assignments with batching on or off — over ragged batches, batches of one,
-and batches whose blocks converge at very different iterations.
+The lockstep structured loop (:func:`solve_structured_batch`) advances every
+pooled block through the exact floating-point trajectory of that block
+solved alone (:func:`solve_structured` is a batch of one): elementwise work
+runs on the concatenated state, every reduction and factorisation runs on a
+block's contiguous slice, and converged blocks are frozen while stragglers
+continue.  These tests pin that contract — same objectives (to 1e-9 and
+bitwise), same iteration counts, same ``lp_hta`` assignments with batching
+on or off — over ragged batches, batches of one, and batches whose blocks
+converge at very different iterations.  Against the frozen seed solver the
+comparison is by tolerance: its ``x`` differs from the optimised loop's in
+the last bits.
 """
 
 import numpy as np
@@ -17,11 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.context import RunContext, use_context
 from repro.core.hta import LPHTAOptions, lp_hta, lp_hta_batch
-from repro.core.lp_builder import BatchedProblem
 from repro.lp import LinearProgram
 from repro.lp.interior_point import solve_interior_point, solve_interior_point_batch
+from repro.lp._structured_reference import solve_structured_reference
 from repro.lp.structured import (
     GroupedBoundedLP,
+    StructuredIPMOptions,
     solve_structured,
     solve_structured_batch,
 )
@@ -87,7 +90,7 @@ def _assert_block_equal(batched, sequential):
 
 
 class TestStructuredBatch:
-    """solve_structured_batch vs per-block solve_structured."""
+    """solve_structured_batch vs each block solved alone."""
 
     def test_ragged_batch_block_for_block(self):
         rng = np.random.default_rng(0)
@@ -125,30 +128,46 @@ class TestStructuredBatch:
             for b, s in zip(batched, expected):
                 _assert_block_equal(b, s)
 
+    def test_matches_seed_reference(self):
+        # The seed solver is the layer's reference.  Its iterates differ
+        # from the optimised loop's in the last bits, so the comparison is
+        # on status, objective and feasibility rather than bytes.
+        rng = np.random.default_rng(6)
+        blocks = [_random_grouped(rng, int(g)) for g in (1, 5, 3, 18, 9, 40)]
+        options = StructuredIPMOptions()
+        batched = solve_structured_batch(blocks, options)
+        for block, ours in zip(blocks, batched):
+            seed = solve_structured_reference(block, options)
+            assert ours.status is seed.status
+            assert ours.status.ok
+            assert ours.objective == pytest.approx(seed.objective, abs=1e-7)
+            assert block.is_feasible(ours.x)
+
+    def test_reference_mode_runs_the_seed_solver(self):
+        rng = np.random.default_rng(7)
+        blocks = [_random_grouped(rng, int(g)) for g in (2, 11)]
+        seed = [
+            solve_structured_reference(block, StructuredIPMOptions())
+            for block in blocks
+        ]
+        with use_context(RunContext(reference=True)):
+            batched = solve_structured_batch(blocks)
+            single = [solve_structured(block) for block in blocks]
+        for expected, b, s in zip(seed, batched, single):
+            _assert_block_equal(b, expected)
+            _assert_block_equal(s, expected)
+
 
 class TestInteriorPointBatch:
-    """solve_interior_point_batch vs per-problem solve_interior_point."""
+    """solve_interior_point_batch: one sequential solve per problem."""
 
     def test_ragged_batch_block_for_block(self):
         rng = np.random.default_rng(3)
         problems = [_random_generic(rng, int(g)) for g in (1, 6, 3, 15)]
         batched = solve_interior_point_batch(problems)
         sequential = [solve_interior_point(p) for p in problems]
+        assert len(batched) == len(problems)
         for b, s in zip(batched, sequential):
-            _assert_block_equal(b, s)
-
-    def test_batch_of_one(self):
-        rng = np.random.default_rng(4)
-        problem = _random_generic(rng, 4)
-        (batched,) = solve_interior_point_batch([problem])
-        _assert_block_equal(batched, solve_interior_point(problem))
-
-    def test_batched_problem_input_equals_sequence_input(self):
-        rng = np.random.default_rng(5)
-        problems = [_random_generic(rng, int(g)) for g in (2, 9, 5)]
-        from_sequence = solve_interior_point_batch(problems)
-        from_batched = solve_interior_point_batch(BatchedProblem(problems))
-        for b, s in zip(from_batched, from_sequence):
             _assert_block_equal(b, s)
 
 

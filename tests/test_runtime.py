@@ -35,11 +35,7 @@ from repro.experiments.parallel import _POOLS
 from repro.experiments.runner import AlgorithmResult
 from repro.lp import LinearProgram, LPStatus
 from repro.lp.backends import solve_with_fallback
-from repro.lp.interior_point import (
-    IPMOptions,
-    solve_interior_point,
-    solve_interior_point_batch,
-)
+from repro.lp.interior_point import IPMOptions, solve_interior_point
 from repro.lp.result import LPResult
 from repro.runtime import (
     CellFailedError,
@@ -546,6 +542,35 @@ class TestFallbackLadder:
         summary = context.telemetry.summary()
         assert "greedy" in summary
 
+    @pytest.mark.parametrize("reference, per_cluster", [(True, 2), (False, 4)])
+    def test_dense_retry_only_below_a_sparse_rung(
+        self, small_scenario, monkeypatch, reference, per_cluster
+    ):
+        """Reference mode builds P2 dense already, so a failed
+        interior-point solve is not repeated on the identical dense LP: one
+        attempt per relaxation level instead of a sparse and a dense one."""
+        calls = []
+
+        def rigged(lp, backend, **kwargs):
+            calls.append(backend)
+            return _rigged_failure(backend)
+
+        monkeypatch.setattr("repro.core.hta.lp_solve", rigged)
+        monkeypatch.setattr(
+            "repro.core.hta.solve_structured",
+            lambda grouped: _rigged_failure("structured"),
+        )
+        context = RunContext(
+            reference=reference, vectorized_costs=not reference,
+            cached_costs=not reference, lp_batch=False,
+        )
+        with use_context(context):
+            report = lp_hta(
+                small_scenario.system, list(small_scenario.tasks),
+                context=context,
+            )
+        assert calls.count("interior-point") == per_cluster * len(report.clusters)
+
 
 # ---------------------------------------------------------------------------
 # Interior-point guards
@@ -561,20 +586,17 @@ class TestIPMGuards:
             upper_bounds=np.array([3.0, 3.0]),
         )
 
-    def test_stall_guard_parks_sequential_and_batch_identically(self, lp):
+    def test_stall_guard_parks_a_stalled_solve(self, lp):
         # An unreachable tolerance (and no salvage) forces a stall well
-        # before the iteration cap, in both loops, with the same verdict.
+        # before the iteration cap.
         options = IPMOptions(
             tolerance=0.0, fallback_tolerance=0.0,
             stall_iterations=5, max_iterations=5000,
         )
-        sequential = solve_interior_point(lp, options)
-        [batched] = solve_interior_point_batch([lp], options)
-        assert sequential.status is LPStatus.ITERATION_LIMIT
-        assert "stalled" in sequential.message
-        assert batched.status is sequential.status
-        assert batched.message == sequential.message
-        assert sequential.iterations < 5000
+        result = solve_interior_point(lp, options)
+        assert result.status is LPStatus.ITERATION_LIMIT
+        assert "stalled" in result.message
+        assert result.iterations < 5000
 
     def test_stall_guard_salvages_converged_iterate(self, lp):
         # Same stall, but the loose salvage target is reachable: the best
@@ -585,16 +607,3 @@ class TestIPMGuards:
         result = solve_interior_point(lp, options)
         assert result.status is LPStatus.OPTIMAL
         assert result.objective == pytest.approx(-7.0, abs=1e-5)
-
-    def test_wall_clock_guard_parks_batch(self, lp):
-        options = IPMOptions(
-            fallback_tolerance=0.0, max_wall_clock_s=0.0,
-        )
-        results = solve_interior_point_batch([lp, lp], options)
-        for result in results:
-            assert result.status is LPStatus.ITERATION_LIMIT
-            assert "wall-clock" in result.message
-
-    def test_wall_clock_default_is_off(self, lp):
-        [result] = solve_interior_point_batch([lp], IPMOptions())
-        assert result.status is LPStatus.OPTIMAL
