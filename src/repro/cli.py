@@ -91,15 +91,6 @@ def _add_reference(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_batch(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=True,
-        help="pool each sweep column's LP relaxations into one "
-        "block-diagonal mega-solve (--no-batch solves sequentially; "
-        "output is identical either way; --reference implies --no-batch)",
-    )
-
-
 def _shards(value: str) -> int:
     """Argparse type for ``--shards``: non-negative int (0 = monolithic)."""
     try:
@@ -196,7 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also render an ASCII chart of the series",
     )
     _add_reference(figure)
-    _add_batch(figure)
     _add_shards(figure)
     _add_jobs_and_stats(figure, "sweep")
     _add_start_method(figure)
@@ -209,7 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scenario seeds to average over",
     )
     _add_reference(all_figures)
-    _add_batch(all_figures)
     _add_shards(all_figures)
     _add_jobs_and_stats(all_figures, "sweeps")
     _add_start_method(all_figures)
@@ -238,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS),
         help="scenario seeds to average over",
     )
-    _add_batch(report)
     _add_shards(report)
     _add_jobs_and_stats(report, "sweep")
     _add_start_method(report)
@@ -366,18 +354,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         journal_path=getattr(args, "journal", None),
         resume=getattr(args, "resume", False),
     )
-    if getattr(args, "reference", False):
-        # Reference runs are the differential-testing baseline: no
-        # batching, no sharding, whatever --batch/--shards say.
-        context = RunContext(
-            reference=True, vectorized_costs=False, cached_costs=False,
-            trace=trace, lp_batch=False, **runtime,
-        )
-    else:
-        context = RunContext(
-            trace=trace, lp_batch=getattr(args, "batch", True),
-            shards=getattr(args, "shards", 0), **runtime,
-        )
+    reference = getattr(args, "reference", False)
+    # Reference runs are the differential-testing baseline: no sharding,
+    # whatever --shards says.
+    context = RunContext(
+        reference=reference, trace=trace,
+        shards=0 if reference else getattr(args, "shards", 0), **runtime,
+    )
     with use_context(context), pool_scope():
         _dispatch(args)
     if getattr(args, "stats", False):

@@ -1,27 +1,21 @@
 """Explicit run configuration: :class:`RunContext` and its activation stack.
 
-Before this module existed, selecting code paths meant mutating process
-globals (``repro.perf._REFERENCE``, the module-wide cost-table flags in
-:mod:`repro.core.costs`).  That worked for in-process runs and fork-started
-workers, which inherit the parent's memory, but it silently *dropped* the
-flags under a spawn start method, and it gave every entry point its own
-ad-hoc wiring.  A :class:`RunContext` replaces all of that with one
-immutable value:
+Selecting code paths through process globals worked for in-process runs
+and fork-started workers, which inherit the parent's memory, but it
+silently *dropped* the setting under a spawn start method.  A
+:class:`RunContext` carries the whole run configuration as one immutable
+value that travels inside every pickled sweep cell:
 
-- **perf mode** — ``reference=True`` routes the generator, assignment
-  metrics, HGOS, the structured LP solver and (with the cost flags below)
-  the cost tables through their seed-era implementations, for differential
-  tests and honest benchmark baselines;
-- **cost-table flags** — ``vectorized_costs`` / ``cached_costs``, the knobs
-  previously owned by :func:`repro.core.costs.costs_config`;
+- **reference mode** — ``reference=True`` routes every layer (generator,
+  cost tables, P2 assembly, Step 1, the structured LP solver, DTA, HGOS,
+  assignment metrics, DES replay) through its seed-era implementation,
+  for differential tests and honest benchmark baselines;
 - **LP settings** — default backend, fallback chain, warm-start toggle and
   the capacity of the per-context LP solve cache;
 - **seeds** — the RNG seed handed to randomized algorithm variants.
 
 The active context is tracked with :mod:`contextvars`, so activation nests
-and is safe under threads.  ``perf_config`` and ``costs_config`` remain as
-thin shims that activate a modified copy of the current context, keeping
-every pre-existing call site working.
+and is safe under threads.
 
 Each context also carries a mutable :class:`Telemetry` sink (excluded from
 equality/hash/pickling): every LP solve records wall time, iteration count,
@@ -416,12 +410,13 @@ class Telemetry:
 class RunContext:
     """Immutable description of *how* to run an algorithm.
 
-    :param reference: select the seed-reference implementations (original
-        generator/metric/HGOS/structured-solver paths).  Results are
-        bit-identical either way; only speed differs.
-    :param vectorized_costs: batched NumPy cost tables (the optimised
-        default) vs the scalar per-task reference pipeline.
-    :param cached_costs: memoise cost tables per (system, tasks).
+    :param reference: select the seed-reference implementation of every
+        layer: object-at-a-time generator, scalar uncached cost tables,
+        dense P2 assembly, sequential per-cluster Step 1 with the seed
+        structured solver, naive DTA greedies, per-row assignment metrics
+        and the closure-chained DES replay; the LP solve cache and the
+        scenario memo are bypassed.  Results are bit-identical either way;
+        only speed differs.
     :param lp_backend: default Step-1 backend for LP-HTA.
     :param lp_fallback_backends: tried in order when the primary backend
         fails numerically.
@@ -432,29 +427,6 @@ class RunContext:
         sweeps and repeated figure cells rebuild bit-identical relaxations
         constantly, and a hit returns the exact stored result.  Reference
         mode never consults the cache regardless of capacity.
-    :param lp_sparse: assemble the generic P2 relaxation (and its standard
-        form) as CSR sparse matrices and solve the interior-point normal
-        equations with a sparse factorisation.  ``False`` selects the dense
-        reference assembly/solve; reference mode is always dense.
-    :param lp_batch: clear independent LP-HTA Step-1 instances (the
-        per-cluster relaxations, and — through the sweep engine — whole
-        sweep columns) as one block-diagonal mega-solve with per-block
-        convergence masking, instead of a Python loop of solves.  ``False``
-        selects the sequential per-cluster path, which is retained as the
-        differential-testing reference; reference mode never batches.
-    :param des_vectorized: replay assignments through the compiled
-        struct-of-arrays event engine (:mod:`repro.des.engine` — closed
-        form in dedicated mode, index event loop under contention/outages,
-        ``numba.njit`` when installed).  ``False`` selects the
-        closure-chained object replay, which is retained as the reference;
-        reference mode always uses the object path.  Bit-identical
-        ``RealizedMetrics`` either way.
-    :param vectorized_generator: draw scenarios through the array-native
-        generator (:mod:`repro.workload.array_gen` — batched RNG decode,
-        deferred dataclass materialisation, fused cost-table hints).
-        ``False`` selects the object-at-a-time generator; reference mode
-        and divisible-task profiles always use the object path.
-        Bit-identical ``Scenario`` data either way.
     :param seed: RNG seed handed to randomized algorithm variants.
     :param shards: route LP-HTA through the sharded solver
         (:func:`repro.core.sharded.lp_hta_sharded`) with this many
@@ -490,16 +462,10 @@ class RunContext:
     """
 
     reference: bool = False
-    vectorized_costs: bool = True
-    cached_costs: bool = True
     lp_backend: str = "structured"
     lp_fallback_backends: Tuple[str, ...] = ("interior-point", "simplex", "scipy")
     lp_warm_start: bool = True
     lp_cache_capacity: int = 256
-    lp_sparse: bool = True
-    lp_batch: bool = True
-    des_vectorized: bool = True
-    vectorized_generator: bool = True
     seed: int = 0
     shards: int = 0
     trace: bool = False

@@ -24,8 +24,6 @@ from typing import List, Mapping, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro import perf
-
 from repro.context import current_context
 from repro.core.costs import NUM_SUBSYSTEMS, ClusterCosts
 from repro.obs.tracer import staged
@@ -70,7 +68,7 @@ def _deadline_bounds(
     """
     n_tasks = costs.num_tasks
     upper = np.ones(NUM_SUBSYSTEMS * n_tasks)
-    if perf.reference_mode():
+    if current_context().reference:
         doomed_list: List[int] = []
         for row in range(n_tasks):
             deadline_row = costs.deadline_s[row]
@@ -160,14 +158,21 @@ def build_p2(
     device_caps: Mapping[int, float],
     station_cap: float,
     relax_deadline_bounds: bool = False,
+    dense: bool = False,
 ) -> P2Build:
     """Assemble P2 for one cluster's cost table.
+
+    The constraint blocks are CSR sparse matrices, except in reference mode
+    or when ``dense`` asks for the dense reference assembly (the fallback
+    ladder's dense interior-point retry does).  Both assemblies hold the
+    same entries.
 
     :param costs: the priced tasks of the cluster.
     :param device_caps: :math:`max_i` per device id.
     :param station_cap: :math:`max_S` for the cluster's base station.
     :param relax_deadline_bounds: drop the A1 bounds (see
         :func:`_deadline_bounds`).
+    :param dense: assemble dense ndarray blocks instead of CSR.
     """
     n_tasks = costs.num_tasks
     n_vars = NUM_SUBSYSTEMS * n_tasks
@@ -175,7 +180,7 @@ def build_p2(
     objective = costs.energy_j.reshape(-1).astype(float)
     upper, doomed = _deadline_bounds(costs, relax_deadline_bounds)
 
-    if not perf.reference_mode() and current_context().lp_sparse:
+    if not dense and not current_context().reference:
         a_ub, b_ub = _assemble_ub_sparse(
             costs, device_caps, station_cap, n_tasks, n_vars
         )
@@ -281,7 +286,7 @@ def build_p2_structured(
     group_rhs = np.ones(n_tasks)
     upper, doomed = _deadline_bounds(costs, relax_deadline_bounds)
 
-    reference = perf.reference_mode()
+    reference = current_context().reference
     coupling_rows: List[np.ndarray] = []
     coupling_rhs: List[float] = []
     for device_id, rows in sorted(costs.owner_rows().items()):

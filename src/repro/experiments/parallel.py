@@ -30,11 +30,11 @@ sequential one:
 ``jobs=1`` runs the cells in-process with no executor, no pickling
 requirement and no subprocess overhead; it is the default everywhere.
 
-When LP batching is on (:attr:`~repro.context.RunContext.lp_batch`, the
-default), cells sharing a profile, evaluator set and context — the seeds
-of one sweep column — are grouped and dispatched as one unit: each
-evaluator then pools the whole column's Step-1 LP work into a single
-block-diagonal mega-solve (:func:`repro.core.hta.lp_hta_batch`).  Column
+Outside reference mode, cells sharing a profile, evaluator set and
+context — the seeds of one sweep column — are grouped and dispatched as
+one unit when an evaluator has a batch form: each such evaluator then
+pools the whole column's Step-1 LP work into a single block-diagonal
+mega-solve (:func:`repro.core.hta.lp_hta_batch`).  Column
 composition is a pure function of the cell list — never of ``jobs`` or
 pool scheduling — so results, spans and telemetry stay identical
 in-process, under fork and under spawn.
@@ -288,17 +288,23 @@ def _evaluate_cell_with_telemetry(
     return results, context.telemetry
 
 
+#: Evaluator kinds whose :meth:`EvaluatorSpec.run_batch` pools LP work.
+_BATCH_KINDS = ("holistic", "dta")
+
+
 def _group_columns(cells: Sequence[SweepCell]) -> List[List[int]]:
     """Deterministic sweep columns: cell indices grouped for batching.
 
     Cells sharing (profile, evaluators, context) — the seeds of one sweep
-    column — form one group, in first-appearance order; cells whose
-    context rules batching out (``lp_batch`` off, reference mode) stay
-    singleton groups, preserving per-cell pool granularity.  Composition
-    is a pure function of the cell list — never of ``jobs``, the start
-    method or pool scheduling — so the batched mega-solves (and therefore
-    telemetry, spans and results) are identical in-process, under fork and
-    under spawn.
+    column — form one group, in first-appearance order, when one of the
+    evaluators has a batch form (kind ``holistic`` or ``dta``, see
+    :meth:`EvaluatorSpec.run_batch`).  Columns of only ``callable``
+    evaluators gain nothing from batching, and reference-mode cells never
+    batch; both stay singleton groups, preserving per-cell pool
+    granularity.  Composition is a pure function of the cell list — never
+    of ``jobs``, the start method or pool scheduling — so the batched
+    mega-solves (and therefore telemetry, spans and results) are identical
+    in-process, under fork and under spawn.
 
     The context is compared by *identity*, not equality: a column's work
     runs under (and reports into) one context, which is only correct when
@@ -309,7 +315,11 @@ def _group_columns(cells: Sequence[SweepCell]) -> List[List[int]]:
     groups: "OrderedDict[Any, List[int]]" = OrderedDict()
     for index, cell in enumerate(cells):
         context = cell.context
-        if context is not None and context.lp_batch and not context.reference:
+        if (
+            context is not None
+            and not context.reference
+            and any(spec.kind in _BATCH_KINDS for spec in cell.evaluators)
+        ):
             key: Any = ("column", cell.profile, cell.evaluators, id(context))
         else:
             key = ("cell", index)

@@ -8,7 +8,7 @@ solving the normal equations :math:`A D A^T \\Delta y = r` with a dense
 Cholesky factorisation per iteration — or, when the standard form carries a
 SciPy sparse matrix, with a sparse LU factorisation (``splu``) of the same
 regularised normal matrix.  The dense path is untouched and remains the
-reference backend (``RunContext.lp_sparse=False``).
+reference (reference mode, and the fallback ladder's dense retry).
 
 The solver works on :class:`~repro.lp.problem.StandardFormLP`
 (min c·x, Ax = b, x ≥ 0) and is exposed through

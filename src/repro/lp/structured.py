@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro import perf
+from repro.context import current_context
 from repro.lp._structured_reference import solve_structured_reference
 from repro.lp.result import LPResult, LPStatus
 
@@ -171,7 +171,7 @@ def solve_structured(
     :param lp: the structured LP.
     :param options: solver tunables.
     """
-    if perf.reference_mode():
+    if current_context().reference:
         # Differential-testing / benchmarking hook: run the seed solver.
         return solve_structured_reference(lp, options)
     return solve_structured_batch([lp], options)[0]
@@ -229,7 +229,7 @@ def solve_structured_batch(
     """
     if not blocks:
         return []
-    if perf.reference_mode():
+    if current_context().reference:
         return [solve_structured_reference(lp, options) for lp in blocks]
 
     num = len(blocks)

@@ -1,14 +1,12 @@
-"""RunContext: activation stack, shims, LP cache and telemetry plumbing."""
+"""RunContext: activation stack, LP cache and telemetry plumbing."""
 
 import pickle
 
 import pytest
 
 from repro.context import RunContext, Telemetry, current_context, use_context
-from repro.core.costs import cluster_costs, costs_config
 from repro.lp import backends
 from repro.lp.problem import LinearProgram
-from repro.perf import perf_config, reference_mode
 from repro.workload.generator import generate_scenario
 from repro.workload.profiles import PAPER_DEFAULTS
 
@@ -27,8 +25,6 @@ class TestActivation:
     def test_default_context_is_optimized(self):
         context = current_context()
         assert not context.reference
-        assert context.vectorized_costs
-        assert context.cached_costs
 
     def test_use_context_nests_and_restores(self):
         outer = current_context()
@@ -49,34 +45,6 @@ class TestActivation:
         a, b = RunContext(), RunContext()
         a.telemetry.record_solve(wall_time_s=1.0, iterations=3)
         assert a == b
-
-
-class TestShims:
-    def test_perf_config_routes_through_context(self):
-        assert not reference_mode()
-        with perf_config(reference=True):
-            assert reference_mode()
-            assert current_context().reference
-        assert not reference_mode()
-
-    def test_costs_config_routes_through_context(self):
-        with costs_config(vectorized=False, cached=False):
-            context = current_context()
-            assert not context.vectorized_costs
-            assert not context.cached_costs
-
-    def test_costs_config_controls_cost_pipeline(self):
-        scenario = generate_scenario(
-            PAPER_DEFAULTS.with_updates(num_tasks=10), seed=0
-        )
-        with use_context(RunContext(cached_costs=True)):
-            first = cluster_costs(scenario.system, scenario.tasks)
-            second = cluster_costs(scenario.system, scenario.tasks)
-        assert first is second
-        with use_context(RunContext(cached_costs=False)):
-            third = cluster_costs(scenario.system, scenario.tasks)
-            fourth = cluster_costs(scenario.system, scenario.tasks)
-        assert third is not fourth
 
 
 class TestLPCache:

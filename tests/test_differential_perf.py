@@ -16,11 +16,15 @@ output (not merely approximately equal):
   figure-style sweep (identical per-cell results, not just close).
 """
 
+import functools
+from unittest import mock
+
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.context import RunContext, use_context
+from repro.core import hta
 from repro.core.costs import ClusterCosts, cluster_costs
 from repro.core.hta import lp_hta
 from repro.core.lp_builder import build_p2
@@ -35,7 +39,6 @@ from repro.dta.coverage import (
 )
 from repro.experiments import parallel
 from repro.experiments.parallel import SweepCell, dta_spec, holistic_spec, run_cells
-from repro.perf import perf_config
 from repro.workload.generator import generate_scenario
 from repro.workload.profiles import PAPER_DEFAULTS
 
@@ -89,7 +92,7 @@ class TestLazyGreedyMatchesNaive:
             (dta_number, dta_number_naive),
         ):
             optimised = algorithm(universe, ownership)
-            with perf_config(reference=True):
+            with use_context(RunContext(reference=True)):
                 reference = algorithm(universe, ownership)
             assert dict(optimised.sets) == dict(reference.sets)
             assert dict(reference.sets) == dict(naive(universe, ownership).sets)
@@ -134,10 +137,8 @@ class TestSparseAssemblyMatchesDense:
         )
         checked = 0
         for sub_costs, device_caps, station_cap in _cluster_inputs(scenario):
-            with use_context(RunContext(lp_sparse=True)):
-                sparse = build_p2(sub_costs, device_caps, station_cap)
-            with use_context(RunContext(lp_sparse=False)):
-                dense = build_p2(sub_costs, device_caps, station_cap)
+            sparse = build_p2(sub_costs, device_caps, station_cap)
+            dense = build_p2(sub_costs, device_caps, station_cap, dense=True)
             assert sparse.doomed_rows == dense.doomed_rows
             assert np.array_equal(sparse.lp.c, dense.lp.c)
             assert np.array_equal(sparse.lp.upper_bounds, dense.lp.upper_bounds)
@@ -165,17 +166,13 @@ class TestSparseAssemblyMatchesDense:
             PAPER_DEFAULTS.with_updates(num_tasks=80), seed=1
         )
         tasks = list(scenario.tasks)
+        dense_build = functools.partial(build_p2, dense=True)
         for backend in ("interior-point", "scipy"):
-            sparse_ctx = RunContext(
-                lp_sparse=True, lp_backend=backend, lp_cache_capacity=0
-            )
-            dense_ctx = RunContext(
-                lp_sparse=False, lp_backend=backend, lp_cache_capacity=0
-            )
-            with use_context(sparse_ctx):
+            context = RunContext(lp_backend=backend, lp_cache_capacity=0)
+            with use_context(context):
                 sparse_report = lp_hta(scenario.system, tasks)
-            with use_context(dense_ctx):
-                dense_report = lp_hta(scenario.system, tasks)
+                with mock.patch.object(hta, "build_p2", dense_build):
+                    dense_report = lp_hta(scenario.system, tasks)
             assert (
                 sparse_report.assignment.decisions
                 == dense_report.assignment.decisions
@@ -232,9 +229,10 @@ class TestScenarioMemo:
 def _mini_figure(context):
     """A two-point, two-seed figure-style sweep (LP-HTA + DTA columns).
 
-    Each profile's cells form one sweep column, so with ``lp_batch`` on the
-    holistic and DTA evaluators both route through their mega-solve entry
-    points — the same shape ``bench_perf.py`` measures, small enough for CI.
+    Each profile's cells form one sweep column, so outside reference mode
+    the holistic and DTA evaluators both route through their mega-solve
+    entry points — the same shape ``bench_perf.py`` measures, small enough
+    for CI.
     """
     specs = (holistic_spec("LP-HTA"), dta_spec("workload"))
     profiles = [
@@ -263,14 +261,12 @@ class TestBatchedSweepMatchesReference:
         parallel._SCENARIO_MEMO.clear()
 
     def test_figure_diff_batched_vs_sequential_vs_reference(self):
-        batched_ctx = RunContext(lp_batch=True)
-        sequential_ctx = RunContext(lp_batch=False)
-        reference_ctx = RunContext(
-            reference=True, vectorized_costs=False, cached_costs=False,
-            lp_batch=False,
-        )
+        batched_ctx = RunContext()
+        sequential_ctx = RunContext()
+        reference_ctx = RunContext(reference=True)
         batched = _mini_figure(batched_ctx)
-        sequential = _mini_figure(sequential_ctx)
+        with mock.patch.object(hta, "_batching_enabled", return_value=False):
+            sequential = _mini_figure(sequential_ctx)
         reference = _mini_figure(reference_ctx)
         # The batched path actually engaged, and neither control did.
         assert batched_ctx.telemetry.batch_solves > 0
@@ -305,6 +301,8 @@ class TestArrayGeneratorMatchesReference:
     """The raw-word-stream generator is a pure perf change: identical draws."""
 
     def test_scenarios_identical_across_all_three_paths(self):
+        from repro.workload import array_gen
+
         profiles = [
             PAPER_DEFAULTS.with_updates(num_tasks=60, num_devices=12, num_stations=3),
             PAPER_DEFAULTS.with_updates(num_tasks=7, num_devices=1, num_stations=1),
@@ -321,7 +319,11 @@ class TestArrayGeneratorMatchesReference:
             for seed in (0, 5):
                 with use_context(RunContext()):
                     array = _scenario_fingerprint(generate_scenario(profile, seed=seed))
-                with use_context(RunContext(vectorized_generator=False)):
+                # A bail-out sends the tasks down the object path with the
+                # pooled source candidates.
+                with mock.patch.object(
+                    array_gen, "generate_holistic_tasks", return_value=None
+                ):
                     pooled = _scenario_fingerprint(generate_scenario(profile, seed=seed))
                 with use_context(RunContext(reference=True)):
                     reference = _scenario_fingerprint(
@@ -352,7 +354,7 @@ class TestArrayGeneratorMatchesReference:
         profile = PAPER_DEFAULTS.with_updates(
             num_tasks=20, num_devices=5, num_stations=2
         )
-        with use_context(RunContext(vectorized_generator=False)):
+        with use_context(RunContext(reference=True)):
             expected = _scenario_fingerprint(generate_scenario(profile, seed=3))
         monkeypatch.setattr(
             array_gen, "generate_holistic_tasks", lambda *a, **k: None
@@ -409,13 +411,11 @@ class TestEngineReplayBitIdentity:
         for kwargs in cases:
             with use_context(RunContext()):
                 fast = replay_assignment(scenario.system, tasks, assignment, **kwargs)
-            with use_context(RunContext(des_vectorized=False)):
-                slow = replay_assignment(scenario.system, tasks, assignment, **kwargs)
             with use_context(RunContext(reference=True)):
                 reference = replay_assignment(
                     scenario.system, tasks, assignment, **kwargs
                 )
-            assert fast == slow == reference
+            assert fast == reference
 
     def test_realized_metrics_bit_identical(self):
         scenario = generate_scenario(
@@ -450,7 +450,7 @@ class TestEngineReplayBitIdentity:
 
 
 class TestVectorisedKernelsPreserveFigures:
-    """The kernel flags change nothing about a figure-style sweep's output."""
+    """The kernels change nothing about a figure-style sweep's output."""
 
     def setup_method(self):
         parallel._SCENARIO_MEMO.clear()
@@ -476,15 +476,5 @@ class TestVectorisedKernelsPreserveFigures:
     def test_generator_and_engine_flags_are_pure_perf(self):
         default = self._holistic_mini_figure(RunContext())
         parallel._SCENARIO_MEMO.clear()
-        no_kernels = self._holistic_mini_figure(
-            RunContext(vectorized_generator=False, des_vectorized=False)
-        )
-        parallel._SCENARIO_MEMO.clear()
-        reference = self._holistic_mini_figure(
-            RunContext(
-                reference=True, vectorized_costs=False, cached_costs=False,
-                lp_batch=False,
-            )
-        )
-        assert default == no_kernels
+        reference = self._holistic_mini_figure(RunContext(reference=True))
         assert default == reference

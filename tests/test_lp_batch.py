@@ -13,11 +13,14 @@ comparison is by tolerance: its ``x`` differs from the optimised loop's in
 the last bits.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.context import RunContext, use_context
+from repro.core import hta
 from repro.core.hta import LPHTAOptions, lp_hta, lp_hta_batch
 from repro.lp import LinearProgram
 from repro.lp.interior_point import solve_interior_point, solve_interior_point_batch
@@ -186,6 +189,11 @@ def small_profile(draw):
     return profile, seed
 
 
+def _sequential_step1():
+    """Route LP-HTA's Step 1 through the sequential per-cluster ladder."""
+    return mock.patch.object(hta, "_batching_enabled", return_value=False)
+
+
 def _reports_identical(a, b):
     assert a.assignment.decisions == b.assignment.decisions
     assert a.clusters == b.clusters  # exact energies, objectives, deltas
@@ -200,9 +208,9 @@ class TestLPHTABatched:
         profile, seed = case
         scenario = generate_scenario(profile, seed=seed)
         tasks = list(scenario.tasks)
-        with use_context(RunContext(lp_batch=True)) as batched_ctx:
+        with use_context(RunContext()) as batched_ctx:
             batched = lp_hta(scenario.system, tasks, context=batched_ctx)
-        with use_context(RunContext(lp_batch=False)) as sequential_ctx:
+        with use_context(RunContext()) as sequential_ctx, _sequential_step1():
             sequential = lp_hta(scenario.system, tasks, context=sequential_ctx)
         _reports_identical(batched, sequential)
         assert sequential_ctx.telemetry.batch_solves == 0
@@ -228,9 +236,9 @@ class TestLPHTABatched:
         )
         tasks = list(scenario.tasks)
         options = LPHTAOptions(backend="interior-point")
-        with use_context(RunContext(lp_batch=True)) as batched_ctx:
+        with use_context(RunContext()) as batched_ctx:
             batched = lp_hta(scenario.system, tasks, options, context=batched_ctx)
-        with use_context(RunContext(lp_batch=False)) as sequential_ctx:
+        with use_context(RunContext()) as sequential_ctx, _sequential_step1():
             sequential = lp_hta(
                 scenario.system, tasks, options, context=sequential_ctx
             )
@@ -244,7 +252,7 @@ class TestLPHTABatched:
             ),
             seed=0,
         )
-        context = RunContext(lp_batch=True)
+        context = RunContext()
         report = lp_hta(scenario.system, list(scenario.tasks), context=context)
         assert len(report.clusters) == 1
         assert context.telemetry.batch_solves == 0  # blocks >= 2 gate
@@ -265,10 +273,10 @@ class TestLPHTABatchEntryPoint:
 
     def test_matches_per_job_lp_hta(self):
         jobs = self._jobs()
-        with use_context(RunContext(lp_batch=True)) as batched_ctx:
+        with use_context(RunContext()) as batched_ctx:
             batched = lp_hta_batch(jobs, context=batched_ctx)
         sequential = []
-        with use_context(RunContext(lp_batch=False)) as sequential_ctx:
+        with use_context(RunContext()) as sequential_ctx, _sequential_step1():
             for system, tasks in jobs:
                 sequential.append(lp_hta(system, tasks, context=sequential_ctx))
         assert len(batched) == len(sequential)
@@ -280,17 +288,14 @@ class TestLPHTABatchEntryPoint:
 
     def test_reference_context_never_batches(self):
         jobs = self._jobs()[:1]
-        context = RunContext(
-            reference=True, vectorized_costs=False, cached_costs=False,
-            lp_batch=False,
-        )
+        context = RunContext(reference=True)
         reports = lp_hta_batch(jobs, context=context)
         assert len(reports) == 1
         assert context.telemetry.batch_solves == 0
 
     def test_repeated_column_is_a_whole_batch_cache_hit(self):
         jobs = self._jobs()
-        context = RunContext(lp_batch=True)
+        context = RunContext()
         first = lp_hta_batch(jobs, context=context)
         assert context.telemetry.batch_cache_hits == 0
         second = lp_hta_batch(jobs, context=context)

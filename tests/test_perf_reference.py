@@ -1,15 +1,15 @@
-"""The seed-reference paths behind ``perf_config`` must match the
-optimised defaults bit for bit — they exist for differential testing and
-honest benchmark baselines, not as a second implementation."""
+"""The seed-reference paths behind ``RunContext(reference=True)`` must
+match the optimised defaults bit for bit — they exist for differential
+testing and honest benchmark baselines, not as a second implementation."""
 
 import numpy as np
 
-from repro import perf
+from repro.context import RunContext, use_context
+from repro.core import costs as costs_module
 from repro.core.baselines import hgos
-from repro.core.costs import cluster_costs, costs_config
+from repro.core.costs import cluster_costs
 from repro.core.hta import lp_hta
 from repro.experiments.runner import evaluate_holistic
-from repro.perf import perf_config
 from repro.workload.generator import generate_scenario
 from repro.workload.profiles import PAPER_DEFAULTS
 
@@ -17,17 +17,7 @@ _PROFILE = PAPER_DEFAULTS.with_updates(num_tasks=20)
 
 
 def _reference():
-    return perf_config(reference=True)
-
-
-def test_perf_config_restores_mode():
-    assert not perf.reference_mode()
-    with _reference():
-        assert perf.reference_mode()
-        with perf_config(reference=False):
-            assert not perf.reference_mode()
-        assert perf.reference_mode()
-    assert not perf.reference_mode()
+    return use_context(RunContext(reference=True))
 
 
 def test_generator_reference_matches_optimized():
@@ -40,7 +30,7 @@ def test_generator_reference_matches_optimized():
 def test_lp_hta_reference_matches_optimized():
     scenario = generate_scenario(_PROFILE, seed=2)
     optimized = lp_hta(scenario.system, scenario.tasks)
-    with _reference(), costs_config(vectorized=False, cached=False):
+    with _reference():
         reference = lp_hta(scenario.system, scenario.tasks)
     assert optimized.assignment.decisions == reference.assignment.decisions
     assert optimized.assignment.stats() == reference.assignment.stats()
@@ -49,7 +39,7 @@ def test_lp_hta_reference_matches_optimized():
 def test_hgos_reference_matches_optimized():
     scenario = generate_scenario(_PROFILE, seed=4)
     optimized = hgos(scenario.system, scenario.tasks)
-    with _reference(), costs_config(vectorized=False, cached=False):
+    with _reference():
         reference = hgos(scenario.system, scenario.tasks)
     assert optimized.decisions == reference.decisions
 
@@ -57,7 +47,7 @@ def test_hgos_reference_matches_optimized():
 def test_assignment_metrics_reference_matches_optimized():
     scenario = generate_scenario(_PROFILE, seed=1)
     optimized = evaluate_holistic(scenario, "LP-HTA")
-    with _reference(), costs_config(vectorized=False, cached=False):
+    with _reference():
         reference = evaluate_holistic(scenario, "LP-HTA")
     # AlgorithmResult compares by exact float equality.
     assert optimized == reference
@@ -65,9 +55,35 @@ def test_assignment_metrics_reference_matches_optimized():
 
 def test_cost_tables_reference_matches_optimized():
     scenario = generate_scenario(_PROFILE, seed=3)
-    with costs_config(cached=False):
-        optimized = cluster_costs(scenario.system, scenario.tasks)
-    with _reference(), costs_config(vectorized=False, cached=False):
+    optimized = cluster_costs(scenario.system, scenario.tasks)
+    with _reference():
         reference = cluster_costs(scenario.system, scenario.tasks)
     np.testing.assert_array_equal(optimized.time_s, reference.time_s)
     np.testing.assert_array_equal(optimized.energy_j, reference.energy_j)
+
+
+def test_reference_context_prices_scalar_and_uncached(monkeypatch):
+    """``reference`` alone selects the scalar pipeline and skips the memo."""
+    calls = {"scalar": 0, "vectorized": 0}
+
+    def counted(name, compute):
+        def wrapper(system, tasks):
+            calls[name] += 1
+            return compute(system, tasks)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        costs_module, "_cluster_costs_scalar",
+        counted("scalar", costs_module._cluster_costs_scalar),
+    )
+    monkeypatch.setattr(
+        costs_module, "_cluster_costs_vectorized",
+        counted("vectorized", costs_module._cluster_costs_vectorized),
+    )
+    scenario = generate_scenario(_PROFILE, seed=6)
+    with _reference():
+        first = cluster_costs(scenario.system, scenario.tasks)
+        second = cluster_costs(scenario.system, scenario.tasks)
+    assert calls == {"scalar": 2, "vectorized": 0}
+    assert first is not second

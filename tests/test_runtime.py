@@ -17,6 +17,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import repro.lp.backends as backends_mod
 import repro.runtime.journal as journal_mod
@@ -32,7 +33,7 @@ from repro.experiments.parallel import (
     run_tiles,
 )
 from repro.experiments.parallel import _POOLS
-from repro.experiments.runner import AlgorithmResult
+from repro.experiments.runner import AlgorithmResult, evaluate_holistic
 from repro.lp import LinearProgram, LPStatus
 from repro.lp.backends import solve_with_fallback
 from repro.lp.interior_point import IPMOptions, solve_interior_point
@@ -102,6 +103,25 @@ def _raise_on_poison(scenario) -> AlgorithmResult:
     if scenario.seed == _POISON_SEED:
         raise RuntimeError(f"rigged failure on seed {scenario.seed}")
     return _ok_result()
+
+
+def _ok_probe(scenario) -> AlgorithmResult:
+    return _ok_result()
+
+
+def _unknown_algorithm(scenario) -> AlgorithmResult:
+    """A configuration error raised inside the worker."""
+    return evaluate_holistic(scenario, "NoSuchAlgorithm")
+
+
+def _probe_cells(evaluator, n=3):
+    """Cells whose only evaluator is a module-level callable: they have no
+    batch form, so every cell is its own pool dispatch unit."""
+    spec = as_spec("probe", evaluator)
+    return [
+        SweepCell(index=i, profile=_PROFILE, seed=i, evaluators=(spec,))
+        for i in range(n)
+    ]
 
 
 def _hang_on_poison(scenario) -> AlgorithmResult:
@@ -301,21 +321,11 @@ def _multi_cpu(monkeypatch):
 @pytest.mark.usefixtures("_multi_cpu")
 @pytest.mark.parametrize("start_method", _START_METHODS)
 class TestPooledFaults:
-    def _fault_cells(self, evaluator, n=3):
-        spec = as_spec("probe", evaluator)
-        return [
-            SweepCell(index=i, profile=_PROFILE, seed=i, evaluators=(spec,))
-            for i in range(n)
-        ]
-
     def test_worker_crash_quarantines_only_poison_cell(self, start_method):
-        # lp_batch off keeps the cells singleton dispatch units, so the
-        # sweep genuinely crosses the pool (a single batched column would
-        # short-circuit to in-process execution).
-        context = RunContext(max_attempts=1, retry_backoff_s=0.0, lp_batch=False)
+        context = RunContext(max_attempts=1, retry_backoff_s=0.0)
         with use_context(context), pool_scope():
             results = run_cells(
-                self._fault_cells(_crash_on_poison),
+                _probe_cells(_crash_on_poison),
                 jobs=2, start_method=start_method,
             )
         assert results[_POISON_SEED] is None
@@ -325,10 +335,10 @@ class TestPooledFaults:
         assert f"seed {_POISON_SEED}" in entry["label"]
 
     def test_worker_exception_carries_remote_traceback(self, start_method):
-        context = RunContext(max_attempts=1, retry_backoff_s=0.0, lp_batch=False)
+        context = RunContext(max_attempts=1, retry_backoff_s=0.0)
         with use_context(context), pool_scope():
             results = run_cells(
-                self._fault_cells(_raise_on_poison),
+                _probe_cells(_raise_on_poison),
                 jobs=2, start_method=start_method,
             )
         assert results[_POISON_SEED] is None
@@ -338,8 +348,8 @@ class TestPooledFaults:
         assert "Traceback" in entry["error"]
 
     def test_config_error_raises_in_parent(self, start_method):
-        cells = _cells(2, specs=(holistic_spec("NoSuchAlgorithm"),))
-        context = RunContext(max_attempts=3, retry_backoff_s=0.0, lp_batch=False)
+        cells = _probe_cells(_unknown_algorithm, n=2)
+        context = RunContext(max_attempts=3, retry_backoff_s=0.0)
         with use_context(context), pool_scope():
             with pytest.raises(ValueError, match="NoSuchAlgorithm"):
                 run_cells(cells, jobs=2, start_method=start_method)
@@ -348,20 +358,10 @@ class TestPooledFaults:
 
 @pytest.mark.usefixtures("_multi_cpu")
 def test_cell_timeout_quarantines_hung_cell():
-    context = RunContext(
-        max_attempts=2, cell_timeout_s=0.4, retry_backoff_s=0.0,
-        lp_batch=False,
-    )
+    context = RunContext(max_attempts=2, cell_timeout_s=0.4, retry_backoff_s=0.0)
     with use_context(context), pool_scope():
         results = run_cells(
-            [
-                SweepCell(
-                    index=i, profile=_PROFILE, seed=i,
-                    evaluators=(as_spec("probe", _hang_on_poison),),
-                )
-                for i in range(3)
-            ],
-            jobs=2, start_method="fork",
+            _probe_cells(_hang_on_poison), jobs=2, start_method="fork"
         )
     assert results[_POISON_SEED] is None
     assert results[0] is not None and results[2] is not None
@@ -373,8 +373,7 @@ def test_cell_timeout_quarantines_hung_cell():
 @pytest.mark.usefixtures("_multi_cpu")
 def test_pool_scope_reaps_cached_pools():
     with pool_scope():
-        with use_context(RunContext(lp_batch=False)):
-            run_cells(_cells(3), jobs=2, start_method="fork")
+        run_cells(_probe_cells(_ok_probe), jobs=2, start_method="fork")
         assert _POOLS  # warm inside the scope
     assert not _POOLS  # reaped on exit
 
@@ -529,7 +528,10 @@ class TestFallbackLadder:
             "repro.core.hta.solve_structured",
             lambda grouped: _rigged_failure("structured"),
         )
-        context = RunContext(lp_batch=False)
+        monkeypatch.setattr(
+            "repro.core.hta._batching_enabled", lambda *args: False
+        )
+        context = RunContext()
         with use_context(context):
             report = lp_hta(
                 small_scenario.system, list(small_scenario.tasks),
@@ -549,10 +551,11 @@ class TestFallbackLadder:
         """Reference mode builds P2 dense already, so a failed
         interior-point solve is not repeated on the identical dense LP: one
         attempt per relaxation level instead of a sparse and a dense one."""
-        calls = []
+        ipm_inputs = []
 
         def rigged(lp, backend, **kwargs):
-            calls.append(backend)
+            if backend == "interior-point":
+                ipm_inputs.append(sp.issparse(lp.a_eq))
             return _rigged_failure(backend)
 
         monkeypatch.setattr("repro.core.hta.lp_solve", rigged)
@@ -560,16 +563,49 @@ class TestFallbackLadder:
             "repro.core.hta.solve_structured",
             lambda grouped: _rigged_failure("structured"),
         )
-        context = RunContext(
-            reference=reference, vectorized_costs=not reference,
-            cached_costs=not reference, lp_batch=False,
+        monkeypatch.setattr(
+            "repro.core.hta._batching_enabled", lambda *args: False
         )
+        context = RunContext(reference=reference)
         with use_context(context):
             report = lp_hta(
                 small_scenario.system, list(small_scenario.tasks),
                 context=context,
             )
-        assert calls.count("interior-point") == per_cluster * len(report.clusters)
+        assert len(ipm_inputs) == per_cluster * len(report.clusters)
+        # Per relaxation level: the sparse attempt, then its dense retry;
+        # reference mode makes one dense attempt.
+        per_level = [False] if reference else [True, False]
+        assert ipm_inputs == per_level * (2 * len(report.clusters))
+
+    def test_dense_retry_rescues_a_failed_sparse_solve(
+        self, small_scenario, monkeypatch
+    ):
+        def sparse_fails(lp, backend, **kwargs):
+            if backend == "interior-point" and sp.issparse(lp.a_eq):
+                return _rigged_failure(backend)
+            return backends_mod.solve(lp, backend, **kwargs)
+
+        monkeypatch.setattr("repro.core.hta.lp_solve", sparse_fails)
+        monkeypatch.setattr(
+            "repro.core.hta.solve_structured",
+            lambda grouped: _rigged_failure("structured"),
+        )
+        monkeypatch.setattr(
+            "repro.core.hta._batching_enabled", lambda *args: False
+        )
+        context = RunContext()
+        with use_context(context):
+            report = lp_hta(
+                small_scenario.system, list(small_scenario.tasks),
+                context=context,
+            )
+        counters = context.telemetry.metrics
+        assert counters.counter("lp.fallback.interior-point-dense") == len(
+            report.clusters
+        )
+        assert counters.counter("lp.fallback.greedy") == 0
+        assert all(c.lp_backend == "interior-point" for c in report.clusters)
 
 
 # ---------------------------------------------------------------------------

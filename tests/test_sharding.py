@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.context import RunContext, use_context
+from repro.core import hta
 from repro.core.assignment import Subsystem
 from repro.core.costs import cluster_costs
 from repro.core.hta import lp_hta
@@ -123,12 +124,13 @@ class TestShardedSystem:
 
 class TestDifferentialUncapped:
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 4])
-    @pytest.mark.parametrize("lp_batch", [True, False])
+    @pytest.mark.parametrize("batched", [True, False])
     def test_bit_identical_to_monolithic(
-        self, scenario, monolithic, num_shards, lp_batch
+        self, scenario, monolithic, num_shards, batched, monkeypatch
     ):
-        context = RunContext(lp_batch=lp_batch)
-        with use_context(context):
+        if not batched:
+            monkeypatch.setattr(hta, "_batching_enabled", lambda *args: False)
+        with use_context(RunContext()):
             report = lp_hta_sharded(
                 scenario.system,
                 list(scenario.tasks),
