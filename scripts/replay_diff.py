@@ -1,4 +1,4 @@
-"""Canonical kernel output for byte-diffing across interpreters.
+"""Canonical kernel output for byte-diffing the kernels against the reference.
 
 Prints one JSON document covering both compiled kernels on a fixed
 scenario: the generated tasks (every float of the array generator's
@@ -7,14 +7,12 @@ under four replay modes (dedicated, contended, each with outages).
 ``json`` renders floats with ``repr`` — shortest round-trip — so two
 documents are byte-identical iff every float is bit-identical.
 
-CI runs this tool without numba, with numba, with ``REPRO_NO_NUMBA=1``
-masking an installed numba, and in ``--reference`` mode (the object
-engines), and diffs the four outputs::
+CI runs this tool on the default kernels and in ``--reference`` mode
+(the object engines) and diffs the two outputs::
 
-    python scripts/replay_diff.py --assert-numba no  > plain.json
-    pip install -e .[perf]
-    python scripts/replay_diff.py --assert-numba yes > jit.json
-    diff plain.json jit.json
+    python scripts/replay_diff.py > default.json
+    python scripts/replay_diff.py --reference > reference.json
+    diff default.json reference.json
 """
 
 import argparse
@@ -22,7 +20,6 @@ import json
 
 from repro.context import RunContext, use_context
 from repro.core.hta import lp_hta
-from repro.des import HAVE_NUMBA
 from repro.des.replay import replay_assignment
 from repro.workload import PAPER_DEFAULTS, generate_scenario
 
@@ -45,10 +42,6 @@ REPLAY_MODES = {
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--assert-numba", choices=("yes", "no"), default=None,
-        help="fail unless the jit backend is (yes) / is not (no) active",
-    )
-    parser.add_argument(
         "--reference", action="store_true",
         help="run the object engines instead of the compiled kernels",
     )
@@ -57,11 +50,6 @@ def main() -> None:
         help="scenario size (devices scale along with it)",
     )
     args = parser.parse_args()
-
-    if args.assert_numba == "yes" and not HAVE_NUMBA:
-        raise SystemExit("expected the numba backend to be active, it is not")
-    if args.assert_numba == "no" and HAVE_NUMBA:
-        raise SystemExit("expected no numba backend, but one is active")
 
     profile = PAPER_DEFAULTS.with_updates(
         num_tasks=args.tasks,

@@ -67,7 +67,6 @@ class Telemetry:
         "cache_misses",
         "batch_cache_hits",
         "batch_cache_misses",
-        "warm_start_reuses",
         "scenario_memo_hits",
         "scenario_memo_misses",
         "shard_solves",
@@ -111,7 +110,6 @@ class Telemetry:
         self.cache_misses = 0
         self.batch_cache_hits = 0
         self.batch_cache_misses = 0
-        self.warm_start_reuses = 0
         self.scenario_memo_hits = 0
         self.scenario_memo_misses = 0
         self.shard_solves = 0
@@ -136,7 +134,6 @@ class Telemetry:
         wall_time_s: float,
         iterations: int,
         cache_hit: bool = False,
-        warm_start: bool = False,
     ) -> None:
         """Record one LP solve (or solve-cache hit).
 
@@ -144,13 +141,10 @@ class Telemetry:
             cache hits).
         :param iterations: solver iterations (zero for cache hits).
         :param cache_hit: the result came out of an LP solve cache.
-        :param warm_start: a previous iterate/basis seeded the solver.
         """
         self.solves += 1
         self.solve_wall_s += wall_time_s
         self.lp_iterations += iterations
-        if warm_start:
-            self.warm_start_reuses += 1
         # The distribution view of the same event: the `solve` stage
         # histogram covers every solve (cache hits are real pipeline
         # latency), the iteration histogram only actual solver runs.
@@ -292,7 +286,6 @@ class Telemetry:
             "cache_misses": self.cache_misses,
             "batch_cache_hits": self.batch_cache_hits,
             "batch_cache_misses": self.batch_cache_misses,
-            "warm_start_reuses": self.warm_start_reuses,
             "scenario_memo_hits": self.scenario_memo_hits,
             "scenario_memo_misses": self.scenario_memo_misses,
             "shard_solves": self.shard_solves,
@@ -326,7 +319,6 @@ class Telemetry:
                 f"LP solves          {self.solves}",
                 f"solve wall time    {self.solve_wall_s:.3f} s",
                 f"LP iterations      {self.lp_iterations}",
-                f"warm-start reuses  {self.warm_start_reuses}",
             ]
         if self.batch_solves:
             lines.append(
@@ -420,8 +412,6 @@ class RunContext:
     :param lp_backend: default Step-1 backend for LP-HTA.
     :param lp_fallback_backends: tried in order when the primary backend
         fails numerically.
-    :param lp_warm_start: allow solvers to be seeded from a previous
-        result's iterate/basis.
     :param lp_cache_capacity: capacity of the per-context LP solve cache;
         ``0`` disables the cache.  The default keeps a bounded cache on:
         sweeps and repeated figure cells rebuild bit-identical relaxations
@@ -464,7 +454,6 @@ class RunContext:
     reference: bool = False
     lp_backend: str = "structured"
     lp_fallback_backends: Tuple[str, ...] = ("interior-point", "simplex", "scipy")
-    lp_warm_start: bool = True
     lp_cache_capacity: int = 256
     seed: int = 0
     shards: int = 0

@@ -13,9 +13,10 @@ formulas can be *checked* rather than trusted:
 
 Two engines execute the replay: the closure-chained object simulator in
 :mod:`repro.des.replay` (the reference) and the compiled struct-of-arrays
-engine in :mod:`repro.des.engine` (the default; optionally numba-jitted —
-``HAVE_NUMBA`` reports whether the jit backend is active).  They are
+engine in :mod:`repro.des.engine` (the default).  They are
 differentially tested to produce bit-identical :class:`RealizedMetrics`.
+``HAVE_NUMBA`` is always ``False``: there is no jit backend, and the
+constant stays only for the benchmark regime stamps that read it.
 """
 
 from repro.des.engine import HAVE_NUMBA

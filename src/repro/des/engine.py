@@ -5,26 +5,22 @@ small graph of Python callbacks and pushes them through a heapq-backed
 event kernel.  That is the right *reference* semantics, but at sweep scale
 the interpreter cost dominates: every stage is two heap operations, two
 closure allocations and a bound-method dispatch.  This module compiles an
-assignment into a struct-of-arrays *replay program* — parallel NumPy arrays
+assignment into a struct-of-arrays *replay program* — parallel arrays
 of stage resource ids, service times, chain successors and join targets —
-and executes it with one of three interchangeable backends:
+and executes it with one of two interchangeable backends:
 
 - **closed form** — dedicated mode with no outage windows has no shared
   state at all, so each task's event chain collapses into a per-stage
   recurrence ``(value, now) -> (finish, heap_time)`` that vectorises across
   tasks with masked NumPy slot updates (4 external-chain slots, 1 local
   slot, 3 tail slots).  This is the sweep hot path.
-- **index event loop** — contention or outages couple tasks through FIFO
+- **event loop** — contention or outages couple tasks through FIFO
   resources, so events must pop in global ``(time, counter)`` order.  The
-  loop replays the kernel exactly: a manual binary heap over preallocated
-  event slots (the slot id *is* the scheduling counter), FIFO ``next_free``
-  state per resource id, and outage-window deferral scans.
-- **numba** — the same event loop ``numba.njit``-compiled when numba is
-  importable (``pip install .[perf]``).  Auto-detected at import; setting
-  ``REPRO_NO_NUMBA=1`` forces the pure-Python loop even when numba is
-  installed.
+  loop replays the kernel exactly over plain lists: a ``heapq`` of
+  ``(time, counter)``-keyed events, FIFO ``next_free`` state per resource
+  id, and outage-window deferral scans.
 
-All three backends reproduce the closure engine *bit for bit* — every
+Both backends reproduce the closure engine *bit for bit* — every
 float operation (the ``now + max(t - now, 0.0)`` clamp, the FIFO
 ``max(arrival, next_free)``, the join ``max(latest, finish)``) is written
 in the reference's exact order and associativity, never simplified
@@ -35,7 +31,6 @@ whole :class:`~repro.des.replay.RealizedMetrics` against the object path.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +38,7 @@ import numpy as np
 from repro.core.assignment import Assignment, Subsystem
 from repro.core.task import Task
 from repro.des.kernel import clamp_to_now
-from repro.des.resources import normalise_windows, windows_as_arrays
+from repro.des.resources import normalise_windows
 from repro.system.topology import MECSystem
 
 __all__ = ["HAVE_NUMBA", "compile_rows", "replay_with_engine"]
@@ -321,205 +316,6 @@ def _closed_form(
 # Exact event loop: contention and/or outage windows.
 
 
-def _event_loop(
-    stage_res,
-    stage_service,
-    stage_next,
-    stage_end_kind,
-    stage_end_ref,
-    join_tail,
-    init_kind,
-    init_target,
-    init_value,
-    init_time,
-    res_shared,
-    out_lo,
-    out_hi,
-    out_start,
-    out_end,
-    n_tasks,
-    cap,
-):
-    """The kernel's event loop over preallocated arrays.
-
-    Event slots double as scheduling counters (slots are allocated in push
-    order, exactly like ``EventSimulator``'s ``itertools.count``), so the
-    heap orders by ``(time, slot)``.  Every float operation replicates the
-    closure engine's arithmetic literally.
-
-    Written in the numba-friendly subset (scalars, ndarray indexing, plain
-    loops); the module compiles it with ``numba.njit`` when available.
-    """
-    ev_time = np.empty(cap)
-    ev_kind = np.empty(cap, dtype=np.int64)
-    ev_target = np.empty(cap, dtype=np.int64)
-    ev_value = np.empty(cap)
-    heap = np.empty(cap, dtype=np.int64)
-    heap_n = 0
-    n_push = 0
-
-    next_free = np.zeros(res_shared.shape[0])
-    n_joins = join_tail.shape[0]
-    join_remaining = np.full(n_joins, 2, dtype=np.int64)
-    join_latest = np.zeros(n_joins)
-
-    task_finish = np.zeros(n_tasks)
-    task_done = np.zeros(n_tasks, dtype=np.bool_)
-    n_stages = stage_res.shape[0]
-    wait_res = np.empty(n_stages, dtype=np.int64)
-    wait_val = np.empty(n_stages)
-    n_wait = 0
-
-    # Seed the heap with the launch-time events, in launch order.
-    for i in range(init_kind.shape[0]):
-        slot = n_push
-        ev_time[slot] = init_time[i]
-        ev_kind[slot] = init_kind[i]
-        ev_target[slot] = init_target[i]
-        ev_value[slot] = init_value[i]
-        n_push += 1
-        pos = heap_n
-        heap[pos] = slot
-        heap_n += 1
-        while pos > 0:
-            parent = (pos - 1) // 2
-            a, b = heap[pos], heap[parent]
-            if ev_time[a] < ev_time[b] or (ev_time[a] == ev_time[b] and a < b):
-                heap[pos], heap[parent] = b, a
-                pos = parent
-            else:
-                break
-
-    now = 0.0
-    n_events = 0
-    while heap_n > 0:
-        slot = heap[0]
-        heap_n -= 1
-        heap[0] = heap[heap_n]
-        pos = 0
-        while True:
-            left = 2 * pos + 1
-            if left >= heap_n:
-                break
-            right = left + 1
-            best = left
-            if right < heap_n:
-                a, b = heap[right], heap[left]
-                if ev_time[a] < ev_time[b] or (
-                    ev_time[a] == ev_time[b] and a < b
-                ):
-                    best = right
-            a, b = heap[best], heap[pos]
-            if ev_time[a] < ev_time[b] or (ev_time[a] == ev_time[b] and a < b):
-                heap[pos], heap[best] = a, b
-                pos = best
-            else:
-                break
-
-        now = ev_time[slot]
-        n_events += 1
-        kind = ev_kind[slot]
-
-        push_time = -1.0
-        push_kind = -1
-        push_target = -1
-        push_value = 0.0
-
-        if kind == _FIRE:
-            stage = ev_target[slot]
-            res = stage_res[stage]
-            arrival = now
-            if res_shared[res]:
-                free = next_free[res]
-                begin = free if free > arrival else arrival
-            else:
-                begin = arrival
-            service = stage_service[stage]
-            for w in range(out_lo[res], out_hi[res]):
-                if begin < out_end[w] and begin + service > out_start[w]:
-                    begin = out_end[w]
-            finish = begin + service
-            if res_shared[res]:
-                next_free[res] = finish
-            wait_res[n_wait] = res
-            wait_val[n_wait] = begin - arrival
-            n_wait += 1
-            delay = finish - now
-            if 0.0 > delay:
-                delay = 0.0
-            push_time = now + delay
-            push_kind = _COMPLETE
-            push_target = stage
-            push_value = finish
-        elif kind == _COMPLETE:
-            # then(finish): schedule the next fire, or the done hop that
-            # closes the chain — both at now + clamp(finish - now).
-            stage = ev_target[slot]
-            value = ev_value[slot]
-            nxt = stage_next[stage]
-            delay = value - now
-            if 0.0 > delay:
-                delay = 0.0
-            push_time = now + delay
-            push_value = value
-            if nxt >= 0:
-                push_kind = _FIRE
-                push_target = nxt
-            else:
-                push_kind = _END
-                push_target = stage
-        else:
-            # _END / _EMPTY_END: done(value) — record a finish or feed the
-            # join, whose completion schedules the tail chain.
-            value = ev_value[slot]
-            join = -1
-            if kind == _END:
-                stage = ev_target[slot]
-                if stage_end_kind[stage] == _END_RECORD:
-                    task_finish[stage_end_ref[stage]] = value
-                    task_done[stage_end_ref[stage]] = True
-                else:
-                    join = stage_end_ref[stage]
-            else:
-                join = ev_target[slot]
-            if join >= 0:
-                if value > join_latest[join]:
-                    join_latest[join] = value
-                join_remaining[join] -= 1
-                if join_remaining[join] == 0:
-                    latest = join_latest[join]
-                    delay = latest - now
-                    if 0.0 > delay:
-                        delay = 0.0
-                    push_time = now + delay
-                    push_kind = _FIRE
-                    push_target = join_tail[join]
-                    push_value = latest
-
-        if push_kind >= 0:
-            slot = n_push
-            ev_time[slot] = push_time
-            ev_kind[slot] = push_kind
-            ev_target[slot] = push_target
-            ev_value[slot] = push_value
-            n_push += 1
-            pos = heap_n
-            heap[pos] = slot
-            heap_n += 1
-            while pos > 0:
-                parent = (pos - 1) // 2
-                a, b = heap[pos], heap[parent]
-                if ev_time[a] < ev_time[b] or (
-                    ev_time[a] == ev_time[b] and a < b
-                ):
-                    heap[pos], heap[parent] = b, a
-                    pos = parent
-                else:
-                    break
-
-    return task_finish, task_done, wait_res, wait_val, n_wait, now, n_events
-
-
 def _event_loop_py(
     stage_res,
     stage_service,
@@ -538,15 +334,13 @@ def _event_loop_py(
     out_end,
     n_tasks,
 ):
-    """Interpreter-friendly twin of :func:`_event_loop` (lists + heapq).
+    """Replay the kernel's events in global ``(time, counter)`` order.
 
-    Without numba, indexing ndarrays scalar-by-scalar is slower than the
-    closure engine it replaces, so the fallback runs over plain lists with
-    the C-implemented ``heapq`` keyed ``(time, counter)`` — the pop order
-    is identical to the manual ``(time, slot)`` heap because counters are
-    unique and assigned in the same push order.  The float arithmetic is
-    the same, statement for statement; the differential tests pin the two
-    loops against each other and against the object path.
+    Runs over plain lists with the C-implemented ``heapq`` (indexing
+    ndarrays scalar-by-scalar is slower than the closure engine this
+    replaces).  Counters are unique and assigned in the kernel's push
+    order, so pops — and thus FIFO ties — follow the reference exactly;
+    the float arithmetic matches it statement for statement.
     """
     heap = []
     counter = 0
@@ -625,21 +419,9 @@ def _event_loop_py(
     return task_finish, task_done, wait_res, wait_val, now, n_events
 
 
-def _detect_numba():
-    """njit-compile the event loop if numba is importable (and not vetoed)."""
-    if os.environ.get("REPRO_NO_NUMBA"):
-        return None
-    try:
-        from numba import njit
-    except Exception:  # pragma: no cover - exercised by the no-numba CI leg
-        return None
-    return njit(cache=False)(_event_loop)
-
-
-_event_loop_jit = _detect_numba()
-
-#: Whether the njit backend is active (surfaced in benches and reports).
-HAVE_NUMBA = _event_loop_jit is not None
+#: The replay engine has no compiled backend; kept as a constant because
+#: benchmark regime stamps import it.
+HAVE_NUMBA = False
 
 
 def _build_event_arrays(
@@ -651,85 +433,64 @@ def _build_event_arrays(
     backhaul_windows: Tuple[Tuple[float, float], ...],
     wan_windows: Tuple[Tuple[float, float], ...],
 ) -> dict:
-    """Struct-of-arrays form of the programs for :func:`_event_loop`."""
-    n_stages = sum(
-        len(p.chain_a) + (1 + len(p.tail) if p.has_join else 0) for p in programs
-    )
-    stage_res = np.empty(n_stages, dtype=np.int64)
-    stage_service = np.empty(n_stages)
-    stage_next = np.full(n_stages, -1, dtype=np.int64)
-    stage_end_kind = np.zeros(n_stages, dtype=np.int64)
-    stage_end_ref = np.zeros(n_stages, dtype=np.int64)
-    n_joins = sum(1 for p in programs if p.has_join)
-    join_tail = np.empty(n_joins, dtype=np.int64)
+    """Struct-of-lists form of the programs: :func:`_event_loop_py`'s kwargs."""
+    stage_res: List[int] = []
+    stage_service: List[float] = []
+    stage_next: List[int] = []
+    stage_end_kind: List[int] = []
+    stage_end_ref: List[int] = []
+    join_tail: List[int] = []
 
     init_kind: List[int] = []
     init_target: List[int] = []
     init_value: List[float] = []
     init_time: List[float] = []
-    cap = 0
-    sid = 0
-    jid = 0
 
     def add_chain(stages: Sequence[Tuple[int, float]], end_kind: int, ref: int) -> int:
-        nonlocal sid
-        first = sid
-        for offset, (res, service) in enumerate(stages):
-            stage_res[sid] = res
-            stage_service[sid] = service
-            if offset + 1 < len(stages):
-                stage_next[sid] = sid + 1
+        first = len(stage_res)
+        last = first + len(stages) - 1
+        for sid, (res, service) in enumerate(stages, start=first):
+            stage_res.append(res)
+            stage_service.append(float(service))
+            if sid < last:
+                stage_next.append(sid + 1)
+                stage_end_kind.append(_END_RECORD)
+                stage_end_ref.append(0)
             else:
-                stage_end_kind[sid] = end_kind
-                stage_end_ref[sid] = ref
-            sid += 1
+                stage_next.append(-1)
+                stage_end_kind.append(end_kind)
+                stage_end_ref.append(ref)
         return first
+
+    def launch(kind: int, target: int, value: float, t0: float) -> None:
+        init_kind.append(kind)
+        init_target.append(target)
+        init_value.append(value)
+        init_time.append(t0)
 
     for prog in programs:
         t0 = 0.0 + clamp_to_now(0.0, prog.start)
-        cap += prog.event_count()
         if not prog.has_join:
-            first = add_chain(prog.chain_a, _END_RECORD, prog.row)
-            init_kind.append(_FIRE)
-            init_target.append(first)
-            init_value.append(0.0)
-            init_time.append(t0)
+            launch(_FIRE, add_chain(prog.chain_a, _END_RECORD, prog.row), 0.0, t0)
             continue
-        join = jid
-        jid += 1
+        join = len(join_tail)
         # Branches launch in the reference's order: external first, local
         # second (counters — and thus FIFO ties — depend on it).
         if prog.chain_a:
-            first = add_chain(prog.chain_a, _END_JOIN, join)
-            init_kind.append(_FIRE)
-            init_target.append(first)
-            init_value.append(0.0)
-            init_time.append(t0)
+            launch(_FIRE, add_chain(prog.chain_a, _END_JOIN, join), 0.0, t0)
         else:
-            init_kind.append(_EMPTY_END)
-            init_target.append(join)
-            init_value.append(prog.start)
-            init_time.append(t0)
-        first_b = add_chain([prog.chain_b], _END_JOIN, join)
-        init_kind.append(_FIRE)
-        init_target.append(first_b)
-        init_value.append(0.0)
-        init_time.append(t0)
-        join_tail[join] = add_chain(prog.tail, _END_RECORD, prog.row)
+            launch(_EMPTY_END, join, prog.start, t0)
+        launch(_FIRE, add_chain([prog.chain_b], _END_JOIN, join), 0.0, t0)
+        join_tail.append(add_chain(prog.tail, _END_RECORD, prog.row))
 
-    res_shared = np.zeros(num_resources, dtype=np.bool_)
-    if contention:
-        res_shared[:backhaul_id] = True  # radios and CPUs; infra stays dedicated
+    # Radios and CPUs queue under contention; infra links stay dedicated.
+    res_shared = [contention and res < backhaul_id for res in range(num_resources)]
 
-    out_lo = np.zeros(num_resources, dtype=np.int64)
-    out_hi = np.zeros(num_resources, dtype=np.int64)
-    bh_start, bh_end = windows_as_arrays(backhaul_windows)
-    wan_start, wan_end = windows_as_arrays(wan_windows)
-    out_start = np.concatenate([bh_start, wan_start])
-    out_end = np.concatenate([bh_end, wan_end])
-    out_lo[backhaul_id], out_hi[backhaul_id] = 0, len(bh_start)
-    out_lo[wan_id] = len(bh_start)
-    out_hi[wan_id] = len(bh_start) + len(wan_start)
+    out_lo = [0] * num_resources
+    out_hi = [0] * num_resources
+    windows = backhaul_windows + wan_windows
+    out_hi[backhaul_id] = out_lo[wan_id] = len(backhaul_windows)
+    out_hi[wan_id] = len(windows)
 
     return {
         "stage_res": stage_res,
@@ -738,16 +499,15 @@ def _build_event_arrays(
         "stage_end_kind": stage_end_kind,
         "stage_end_ref": stage_end_ref,
         "join_tail": join_tail,
-        "init_kind": np.asarray(init_kind, dtype=np.int64),
-        "init_target": np.asarray(init_target, dtype=np.int64),
-        "init_value": np.asarray(init_value, dtype=np.float64),
-        "init_time": np.asarray(init_time, dtype=np.float64),
+        "init_kind": init_kind,
+        "init_target": init_target,
+        "init_value": init_value,
+        "init_time": init_time,
         "res_shared": res_shared,
         "out_lo": out_lo,
         "out_hi": out_hi,
-        "out_start": out_start,
-        "out_end": out_end,
-        "cap": cap,
+        "out_start": [float(start) for start, _ in windows],
+        "out_end": [float(end) for _, end in windows],
     }
 
 
@@ -793,56 +553,10 @@ def replay_with_engine(
             backhaul_windows,
             wan_windows,
         )
-        if _event_loop_jit is not None:
-            task_finish, task_done, wait_res, wait_val, n_wait, now, events = (
-                _event_loop_jit(
-                    arrays["stage_res"],
-                    arrays["stage_service"],
-                    arrays["stage_next"],
-                    arrays["stage_end_kind"],
-                    arrays["stage_end_ref"],
-                    arrays["join_tail"],
-                    arrays["init_kind"],
-                    arrays["init_target"],
-                    arrays["init_value"],
-                    arrays["init_time"],
-                    arrays["res_shared"],
-                    arrays["out_lo"],
-                    arrays["out_hi"],
-                    arrays["out_start"],
-                    arrays["out_end"],
-                    len(tasks),
-                    arrays["cap"],
-                )
-            )
-            finish_list = task_finish.tolist()
-            done_list = task_done.tolist()
-            n_wait = int(n_wait)
-            wait_res_list = wait_res[:n_wait].tolist()
-            wait_val_list = wait_val[:n_wait].tolist()
-        else:
-            finish_list, done_list, wait_res_list, wait_val_list, now, events = (
-                _event_loop_py(
-                    arrays["stage_res"].tolist(),
-                    arrays["stage_service"].tolist(),
-                    arrays["stage_next"].tolist(),
-                    arrays["stage_end_kind"].tolist(),
-                    arrays["stage_end_ref"].tolist(),
-                    arrays["join_tail"].tolist(),
-                    arrays["init_kind"].tolist(),
-                    arrays["init_target"].tolist(),
-                    arrays["init_value"].tolist(),
-                    arrays["init_time"].tolist(),
-                    arrays["res_shared"].tolist(),
-                    arrays["out_lo"].tolist(),
-                    arrays["out_hi"].tolist(),
-                    arrays["out_start"].tolist(),
-                    arrays["out_end"].tolist(),
-                    len(tasks),
-                )
-            )
+        finish_list, done_list, wait_res_list, wait_val_list, now, events = (
+            _event_loop_py(**arrays, n_tasks=len(tasks))
+        )
         makespan = float(now)
-        events = int(events)
         finishes = {
             row: finish_list[row] for row in range(len(tasks)) if done_list[row]
         }

@@ -16,13 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 __all__ = [
     "FIFOResource",
     "FaultyResource",
     "normalise_windows",
-    "windows_as_arrays",
 ]
 
 
@@ -51,22 +48,6 @@ def normalise_windows(
         else:
             merged.append((start, end))
     return tuple(merged)
-
-
-def windows_as_arrays(
-    windows: Sequence[Tuple[float, float]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Normalised outage windows as parallel (starts, ends) float arrays.
-
-    The compiled replay engine scans windows inside its numba-compatible
-    event loop, which needs them flattened out of tuple-of-tuples form.
-    Pass windows already through :func:`normalise_windows` (sorted and
-    disjoint) so the forward-scan deferral stays valid.
-    """
-    if not windows:
-        return np.empty(0), np.empty(0)
-    arr = np.asarray(windows, dtype=np.float64)
-    return np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1])
 
 
 @dataclass

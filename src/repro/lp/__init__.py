@@ -17,22 +17,15 @@ from repro.lp.result import LPResult, LPStatus
 from repro.lp.interior_point import solve_interior_point
 from repro.lp.simplex import solve_simplex
 from repro.lp.structured import GroupedBoundedLP, solve_structured
-from repro.lp.presolve import PresolveResult, presolve, restore
 from repro.lp.backends import available_backends, solve
-from repro.lp.warmstart import IPMIterate, SimplexBasis
 
 __all__ = [
     "GroupedBoundedLP",
-    "IPMIterate",
     "LinearProgram",
     "LPResult",
     "LPStatus",
-    "PresolveResult",
-    "SimplexBasis",
     "StandardFormLP",
     "available_backends",
-    "presolve",
-    "restore",
     "solve",
     "solve_interior_point",
     "solve_simplex",

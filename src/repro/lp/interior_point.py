@@ -27,15 +27,9 @@ from scipy.sparse.linalg import splu
 
 from repro.lp.problem import LinearProgram, StandardFormLP
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.warmstart import IPMIterate
 from repro.obs.tracer import traced
 
 __all__ = ["IPMOptions", "solve_interior_point", "solve_interior_point_batch"]
-
-#: Floor applied to a warm-start iterate: a converged point sits on the
-#: boundary of the positive orthant, which the path-following scheme
-#: cannot start from, so clip it slightly inside.
-_WARM_FLOOR = 1e-6
 
 _BACKEND_NAME = "interior-point"
 
@@ -142,27 +136,7 @@ def _max_step(values: np.ndarray, directions: np.ndarray) -> float:
     return float(min(1.0, np.min(ratios)))
 
 
-def _warm_point(
-    warm_start: IPMIterate, m: int, n: int
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """A usable (x, y, s) from a previous iterate, or ``None``."""
-    x = np.asarray(warm_start.x, dtype=float)
-    y = np.asarray(warm_start.y, dtype=float)
-    s = np.asarray(warm_start.s, dtype=float)
-    if x.shape != (n,) or y.shape != (m,) or s.shape != (n,):
-        return None
-    if not (
-        np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(s))
-    ):
-        return None
-    return np.maximum(x, _WARM_FLOOR), y.copy(), np.maximum(s, _WARM_FLOOR)
-
-
-def _solve_standard_form(
-    lp: StandardFormLP,
-    options: IPMOptions,
-    warm_start: Optional[IPMIterate] = None,
-) -> LPResult:
+def _solve_standard_form(lp: StandardFormLP, options: IPMOptions) -> LPResult:
     """Run the predictor–corrector loop on a standard-form LP."""
     a, b, c = lp.a, lp.b, lp.c
     m, n = a.shape
@@ -185,13 +159,7 @@ def _solve_standard_form(
             return LPResult(LPStatus.UNBOUNDED, None, -np.inf, 0, _BACKEND_NAME)
         return LPResult(LPStatus.OPTIMAL, np.zeros(n), 0.0, 0, _BACKEND_NAME)
 
-    start = None
-    if isinstance(warm_start, IPMIterate):
-        start = _warm_point(warm_start, m, n)
-    warmed = start is not None
-    if warmed:
-        x, y, s = start
-    elif sparse:
+    if sparse:
         x, y, s = _initial_point_sparse(a, b, c)
     else:
         x, y, s = _initial_point(a, b, c)
@@ -199,7 +167,7 @@ def _solve_standard_form(
     norm_c = 1.0 + float(np.linalg.norm(c))
 
     best_err = float("inf")
-    best: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+    best: Optional[np.ndarray] = None
     last_improve = 0
 
     def salvage(failure: LPResult) -> LPResult:
@@ -210,15 +178,13 @@ def _solve_standard_form(
         point to a NUMERICAL_ERROR would misreport a solved problem.
         """
         if best is not None and best_err < options.fallback_tolerance:
-            bx, by, bs = best
             return LPResult(
                 status=LPStatus.OPTIMAL,
-                x=bx,
-                objective=float(c @ bx),
+                x=best,
+                objective=float(c @ best),
                 iterations=failure.iterations,
                 backend=_BACKEND_NAME,
                 message="converged at reduced tolerance",
-                warm_start=IPMIterate(x=bx.copy(), y=by.copy(), s=bs.copy()),
             )
         return failure
 
@@ -234,7 +200,7 @@ def _solve_standard_form(
         err = max(primal_err, dual_err, gap)
         if err < best_err:
             best_err = err
-            best = (x.copy(), y.copy(), s.copy())
+            best = x.copy()
             last_improve = iteration
         if err < options.tolerance:
             return LPResult(
@@ -243,8 +209,6 @@ def _solve_standard_form(
                 objective=float(c @ x),
                 iterations=iteration - 1,
                 backend=_BACKEND_NAME,
-                message="warm-started" if warmed else "",
-                warm_start=IPMIterate(x=x.copy(), y=y.copy(), s=s.copy()),
             )
         if (
             float(np.max(np.abs(x))) > options.divergence_threshold
@@ -416,8 +380,8 @@ def solve_interior_point_batch(
     """Solve many independent LPs, one :func:`solve_interior_point` each.
 
     The generic backend's entry point for batched LP-HTA Step 1: the
-    sequential loop is the only generic Mehrotra loop (it alone takes warm
-    starts and serves the fallback ladder), so a batch is a list of solves.
+    sequential loop is the only generic Mehrotra loop (it also serves the
+    fallback ladder), so a batch is a list of solves.
 
     :param problems: the LPs to solve.
     :param options: shared solver tunables.
@@ -430,7 +394,6 @@ def solve_interior_point_batch(
 def solve_interior_point(
     problem: Union[LinearProgram, StandardFormLP],
     options: IPMOptions = IPMOptions(),
-    warm_start: Optional[IPMIterate] = None,
 ) -> LPResult:
     """Solve an LP with the Mehrotra predictor–corrector method.
 
@@ -440,12 +403,10 @@ def solve_interior_point(
 
     :param problem: the LP to solve.
     :param options: solver tunables.
-    :param warm_start: optional converged iterate from a previous solve of
-        a similar problem; ignored when its shapes do not match.
     """
     if isinstance(problem, LinearProgram):
         standard = problem.to_standard_form()
-        result = _solve_standard_form(standard, options, warm_start=warm_start)
+        result = _solve_standard_form(standard, options)
         if result.status.ok:
             x = standard.extract_original(result.x)
             return LPResult(
@@ -455,7 +416,6 @@ def solve_interior_point(
                 iterations=result.iterations,
                 backend=result.backend,
                 message=result.message,
-                warm_start=result.warm_start,
             )
         return result
-    return _solve_standard_form(problem, options, warm_start=warm_start)
+    return _solve_standard_form(problem, options)

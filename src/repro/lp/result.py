@@ -37,11 +37,6 @@ class LPResult:
     :param iterations: solver iterations performed.
     :param backend: name of the backend that produced the result.
     :param message: free-form diagnostic detail.
-    :param warm_start: solver state (e.g. a
-        :class:`~repro.lp.warmstart.SimplexBasis` or
-        :class:`~repro.lp.warmstart.IPMIterate`) usable to warm-start the
-        next solve of a similar problem; ``None`` when the backend does
-        not produce one.
     """
 
     status: LPStatus
@@ -50,7 +45,6 @@ class LPResult:
     iterations: int
     backend: str
     message: str = ""
-    warm_start: Optional[object] = None
 
     def require_ok(self) -> np.ndarray:
         """Return ``x``, raising if the solve did not reach optimality."""

@@ -40,7 +40,7 @@ __all__ = [
 #: always prints these rows (zero-count rows included) so breakdowns stay
 #: comparable run over run.
 CANONICAL_STAGES: Tuple[str, ...] = (
-    "generate", "build", "presolve", "solve", "dta", "replay",
+    "generate", "build", "solve", "dta", "replay",
 )
 
 

@@ -180,8 +180,8 @@ def stage(name: str, context: Optional[Any] = None, **attrs: Any) -> _Stage:
     """Time one pipeline stage into ``stage.<name>_s`` (+ a span if tracing).
 
     :param name: stage name — one of the pipeline's coarse units
-        (``generate``, ``build``, ``presolve``, ``solve``, ``dta``,
-        ``replay``, ``recovery``).
+        (``generate``, ``build``, ``solve``, ``dta``, ``replay``,
+        ``recovery``).
     :param context: explicit run context; defaults to the active one.
     :param attrs: deterministic span attributes (ignored when not tracing).
     """

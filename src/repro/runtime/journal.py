@@ -53,7 +53,6 @@ _RESULT_FIELDS: Tuple[str, ...] = (
     "reference",
     "lp_backend",
     "lp_fallback_backends",
-    "lp_warm_start",
     "seed",
     "shards",
 )

@@ -101,28 +101,16 @@ class TestLPCache:
             == first.assignment.stats().total_energy_j
         )
 
-    def test_warm_start_disabled_by_context(self):
-        context = RunContext(lp_warm_start=False)
-        with use_context(context):
-            first = backends.solve(_tiny_lp(), "interior-point")
-            backends.solve(
-                _tiny_lp(), "interior-point", warm_start=first.warm_start
-            )
-        assert context.telemetry.warm_start_reuses == 0
-
 
 class TestTelemetry:
     def test_record_and_summary(self):
         telemetry = Telemetry()
         telemetry.record_solve(wall_time_s=0.25, iterations=10)
-        telemetry.record_solve(
-            wall_time_s=0.05, iterations=4, warm_start=True
-        )
+        telemetry.record_solve(wall_time_s=0.05, iterations=4)
         telemetry.record_cache(True)
         telemetry.record_cache(False)
         assert telemetry.solves == 2
         assert telemetry.lp_iterations == 14
-        assert telemetry.warm_start_reuses == 1
         summary = telemetry.summary()
         assert "LP solves          2" in summary
         assert "1/2 hits" in summary

@@ -170,85 +170,7 @@ class TestFaultyReplayEveryAlgorithm:
         assert metrics.events_processed > 0
 
 
-class TestEventLoopBackends:
-    """The njit-able array loop and the heapq twin must agree exactly."""
-
-    def _arrays(self):
-        scenario = generate_scenario(
-            PAPER_DEFAULTS.with_updates(num_tasks=40, num_devices=8, num_stations=2),
-            seed=3,
-        )
-        tasks = list(scenario.tasks)
-        assignment = lp_hta(scenario.system, tasks).assignment
-        programs, num_resources, backhaul_id, wan_id = engine.compile_rows(
-            scenario.system, tasks, assignment, None
-        )
-        arrays = engine._build_event_arrays(
-            programs,
-            num_resources,
-            True,
-            backhaul_id,
-            wan_id,
-            ((0.2, 0.5),),
-            ((0.4, 0.9),),
-        )
-        return arrays, len(tasks)
-
-    def test_array_loop_equals_heapq_loop(self):
-        arrays, n_tasks = self._arrays()
-        out_arr = engine._event_loop(
-            arrays["stage_res"],
-            arrays["stage_service"],
-            arrays["stage_next"],
-            arrays["stage_end_kind"],
-            arrays["stage_end_ref"],
-            arrays["join_tail"],
-            arrays["init_kind"],
-            arrays["init_target"],
-            arrays["init_value"],
-            arrays["init_time"],
-            arrays["res_shared"],
-            arrays["out_lo"],
-            arrays["out_hi"],
-            arrays["out_start"],
-            arrays["out_end"],
-            n_tasks,
-            arrays["cap"],
-        )
-        out_py = engine._event_loop_py(
-            arrays["stage_res"].tolist(),
-            arrays["stage_service"].tolist(),
-            arrays["stage_next"].tolist(),
-            arrays["stage_end_kind"].tolist(),
-            arrays["stage_end_ref"].tolist(),
-            arrays["join_tail"].tolist(),
-            arrays["init_kind"].tolist(),
-            arrays["init_target"].tolist(),
-            arrays["init_value"].tolist(),
-            arrays["init_time"].tolist(),
-            arrays["res_shared"].tolist(),
-            arrays["out_lo"].tolist(),
-            arrays["out_hi"].tolist(),
-            arrays["out_start"].tolist(),
-            arrays["out_end"].tolist(),
-            n_tasks,
-        )
-        task_finish, task_done, wait_res, wait_val, n_wait, now, n_events = out_arr
-        py_finish, py_done, py_wait_res, py_wait_val, py_now, py_events = out_py
-        n_wait = int(n_wait)
-        assert task_finish.tolist() == py_finish
-        assert [bool(d) for d in task_done] == [bool(d) for d in py_done]
-        assert wait_res[:n_wait].tolist() == py_wait_res
-        assert wait_val[:n_wait].tolist() == py_wait_val
-        assert now == py_now
-        assert n_events == py_events
-
-
-class TestNumbaGating:
-    def test_no_numba_env_disables_jit(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMBA", "1")
-        assert engine._detect_numba() is None
-
+class TestEnginePaths:
     def test_reference_context_uses_object_path(self, small_scenario):
         tasks = list(small_scenario.tasks)
         assignment = lp_hta(small_scenario.system, tasks).assignment

@@ -386,13 +386,7 @@ class TestArrayGeneratorMatchesReference:
 
 
 class TestEngineReplayBitIdentity:
-    """Array-engine replay equals the closure engine, metric for metric.
-
-    Locally the engine runs its pure-Python event loop; on CI with the
-    ``[perf]`` extra installed the same tests compile through numba — both
-    interpreters must land on identical bits, and the jit/no-jit pair is
-    additionally pinned below.
-    """
+    """Array-engine replay equals the closure engine, metric for metric."""
 
     def _replay_matrix(self, scenario, assignment):
         from repro.des.replay import replay_assignment
@@ -424,29 +418,6 @@ class TestEngineReplayBitIdentity:
         )
         assignment = lp_hta(scenario.system, list(scenario.tasks)).assignment
         self._replay_matrix(scenario, assignment)
-
-    def test_jit_and_python_loops_agree(self, monkeypatch):
-        from repro.des import engine
-
-        if engine._event_loop_jit is None:
-            # No numba in this interpreter: the py loop *is* the engine,
-            # already pinned against the object path above.  CI's [perf]
-            # matrix leg runs the jit side of this test.
-            return
-        scenario = generate_scenario(
-            PAPER_DEFAULTS.with_updates(num_tasks=40, num_devices=8, num_stations=2),
-            seed=1,
-        )
-        tasks = list(scenario.tasks)
-        assignment = lp_hta(scenario.system, tasks).assignment
-        jitted = engine.replay_with_engine(
-            scenario.system, tasks, assignment, True, ((0.2, 0.5),), (), None
-        )
-        monkeypatch.setattr(engine, "_event_loop_jit", None)
-        interpreted = engine.replay_with_engine(
-            scenario.system, tasks, assignment, True, ((0.2, 0.5),), (), None
-        )
-        assert jitted == interpreted
 
 
 class TestVectorisedKernelsPreserveFigures:

@@ -11,6 +11,7 @@ Covers the three tentpole pieces end to end:
   the backends down to greedy HTA without aborting, rungs recorded).
 """
 
+import dataclasses
 import multiprocessing
 import os
 import time
@@ -192,6 +193,11 @@ class TestJournal:
         assert context_fingerprint(RunContext(seed=7)) != base
         assert fingerprint("a", 1) == fingerprint("a", 1)
         assert fingerprint("a", 1) != fingerprint("a", 2)
+
+    def test_result_fields_are_context_fields(self):
+        fields = {field.name for field in dataclasses.fields(RunContext)}
+        missing = set(journal_mod._RESULT_FIELDS) - fields
+        assert not missing, f"fingerprinted fields not on RunContext: {missing}"
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +498,7 @@ class TestFallbackLadder:
     def test_fallback_descends_and_records_rung(self, lp, monkeypatch):
         monkeypatch.setitem(
             backends_mod._BACKENDS, "interior-point",
-            lambda p, warm_start: _rigged_failure("interior-point"),
+            lambda p: _rigged_failure("interior-point"),
         )
         context = RunContext()
         result = solve_with_fallback(lp, context=context)
@@ -504,7 +510,7 @@ class TestFallbackLadder:
         for name in ("interior-point", "simplex", "scipy"):
             monkeypatch.setitem(
                 backends_mod._BACKENDS, name,
-                lambda p, warm_start, name=name: _rigged_failure(name),
+                lambda p, name=name: _rigged_failure(name),
             )
         context = RunContext()
         result = solve_with_fallback(lp, context=context)
