@@ -187,10 +187,10 @@ def _batch_stats(telemetry):
     column held a single cell.
     """
     counters = {
-        "batch_solves": telemetry.batch_solves,
-        "batched_blocks": telemetry.batched_blocks,
-        "batch_cache_hits": telemetry.batch_cache_hits,
-        "batch_cache_misses": telemetry.batch_cache_misses,
+        "batch_solves": int(telemetry.batch_solves),
+        "batched_blocks": int(telemetry.batched_blocks),
+        "batch_cache_hits": int(telemetry.batch_cache_hits),
+        "batch_cache_misses": int(telemetry.batch_cache_misses),
     }
     histogram = telemetry.metrics.histograms.get("lp.batch_size")
     if histogram is None or histogram.count == 0:

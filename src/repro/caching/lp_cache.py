@@ -145,7 +145,9 @@ class LPSolveCache:
         """The cached result for ``key``, or ``None`` (counts hit/miss)."""
         result = self._entries.get(key)
         if self.telemetry is not None:
-            self.telemetry.record_cache(result is not None)
+            self.telemetry.metrics.incr(
+                "lp.cache.hits" if result is not None else "lp.cache.misses"
+            )
         if result is None:
             self.stats.misses += 1
             return None
@@ -169,16 +171,17 @@ class LPSolveCache:
         ``keys``; a hit returns the stored results re-aligned to the input
         order (the batch entry stores a per-block-key mapping, so two
         batches with the same blocks in different order both hit).  Counted
-        separately from per-block lookups via
-        :meth:`~repro.context.Telemetry.record_batch_cache`; a miss here
-        costs one dict probe, after which callers fall back to per-block
-        :meth:`lookup` calls to salvage a subset.
+        separately from per-block lookups (``lp.batch_cache.*`` counters); a
+        miss here costs one dict probe, after which callers fall back to
+        per-block :meth:`lookup` calls to salvage a subset.
         """
         batch_key = fingerprint_batch(keys)
         entry = self._entries.get(batch_key)
         hit = isinstance(entry, dict) and all(key in entry for key in keys)
         if self.telemetry is not None:
-            self.telemetry.record_batch_cache(hit)
+            self.telemetry.metrics.incr(
+                "lp.batch_cache.hits" if hit else "lp.batch_cache.misses"
+            )
         if not hit:
             self.stats.misses += 1
             return None

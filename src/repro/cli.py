@@ -9,9 +9,9 @@ Usage::
     mecrepro report --figure fig2a
 
 Algorithm and policy choices come from :mod:`repro.registry`, so the CLI
-always lists exactly what is registered.  ``--stats`` prints the run's LP
-telemetry (solves, wall time, LP-cache and scenario-memo hit rates,
-warm-start reuse) collected on the active
+always lists exactly what is registered.  ``--stats`` prints the run's
+telemetry (LP solves, wall time, LP-cache and scenario-memo hit rates,
+faults, retries, fallbacks) collected on the active
 :class:`~repro.context.RunContext`.  ``--trace PATH`` / ``--log-json
 PATH`` enable span tracing and export it (Chrome ``trace_event`` JSON /
 JSONL); ``report`` runs one figure and prints the per-stage latency
@@ -55,6 +55,10 @@ def _add_jobs_and_stats(parser: argparse.ArgumentParser, what: str) -> None:
         "--jobs", type=_jobs, default=1,
         help=f"worker processes for the {what} (0 = all CPUs, 1 = in-process)",
     )
+    _add_stats(parser)
+
+
+def _add_stats(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--stats", action="store_true",
         help="print run telemetry (LP solves, wall time, LP-cache and "
@@ -208,11 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo", help="run every figure algorithm on one scenario")
     demo.add_argument("--tasks", type=int, default=200)
     demo.add_argument("--seed", type=int, default=0)
-    demo.add_argument(
-        "--stats", action="store_true",
-        help="print run telemetry (LP solves, wall time, LP-cache and "
-        "scenario-memo hit rates) at the end",
-    )
+    _add_stats(demo)
     _add_obs(demo)
 
     report = sub.add_parser(
@@ -254,11 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="devices move (random waypoint); audits quasi-static drift",
     )
     online.add_argument("--seed", type=int, default=0)
-    online.add_argument(
-        "--stats", action="store_true",
-        help="print run telemetry (LP solves, wall time, LP-cache and "
-        "scenario-memo hit rates) at the end",
-    )
+    _add_stats(online)
     _add_obs(online)
 
     resilience = sub.add_parser(

@@ -10,20 +10,21 @@ value that travels inside every pickled sweep cell:
   cost tables, P2 assembly, Step 1, the structured LP solver, DTA, HGOS,
   assignment metrics, DES replay) through its seed-era implementation,
   for differential tests and honest benchmark baselines;
-- **LP settings** — default backend, fallback chain, warm-start toggle and
-  the capacity of the per-context LP solve cache;
+- **LP settings** — default backend, fallback chain and the capacity of
+  the per-context LP solve cache;
 - **seeds** — the RNG seed handed to randomized algorithm variants.
 
 The active context is tracked with :mod:`contextvars`, so activation nests
 and is safe under threads.
 
 Each context also carries a mutable :class:`Telemetry` sink (excluded from
-equality/hash/pickling): every LP solve records wall time, iteration count,
-cache hit/miss and warm-start reuse there, so the CLI, the figure sweeps,
-the DES replay and the online scheduler all report the same counters.
-Worker processes start from zeroed counters (pickling a context resets its
-telemetry) and :func:`repro.experiments.parallel.run_cells` merges their
-counts back into the submitting context.
+equality/hash/pickling): every LP solve records wall time, iteration count
+and cache hit/miss there as named :class:`~repro.obs.metrics.Metrics`
+counters and histograms, so the CLI, the figure sweeps, the DES replay and
+the online scheduler all report the same counters.  Worker processes start
+from zeroed counters (pickling a context resets its telemetry) and
+:func:`repro.experiments.parallel.run_cells` merges their counts back into
+the submitting context.
 """
 
 from __future__ import annotations
@@ -32,12 +33,18 @@ import contextvars
 import dataclasses
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
+
+# Import-light leaves: repro.obs loads its tracer/export layers (which
+# import this module back) lazily.
+from repro.obs.metrics import Metrics, format_count
+from repro.obs.spans import SpanLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.caching.lp_cache import LPSolveCache
 
 __all__ = [
+    "COUNTERS",
     "RunContext",
     "Telemetry",
     "current_context",
@@ -45,88 +52,124 @@ __all__ = [
 ]
 
 
-class Telemetry:
-    """Aggregated per-solve counters attached to a :class:`RunContext`.
+#: Every telemetry counter, one row each: the attribute that reads it, its
+#: source in :class:`~repro.obs.metrics.Metrics` (a counter, a histogram's
+#: ``:sum``/``:count``, or a ``.*`` prefix sum; see
+#: :meth:`~repro.obs.metrics.Metrics.read`) and its ``--stats`` line.  A
+#: line is a :meth:`str.format` template over the attribute values (a
+#: field ``a/b`` is the ratio of two of them), printed when its own row is
+#: nonzero; rows without a line appear inside other rows' lines.
+COUNTERS: Tuple[Tuple[str, str, Optional[str]], ...] = (
+    ("solves", "lp.solves",
+     "LP solves          {solves}\n"
+     "solve wall time    {solve_wall_s:.3f} s\n"
+     "LP iterations      {lp_iterations}"),
+    ("solve_wall_s", "stage.solve_s:sum", None),
+    ("lp_iterations", "lp.iterations:sum", None),
+    ("batch_solves", "lp.batch_size:count",
+     "batched solves     {batched_blocks} blocks in {batch_solves} mega-solves"),
+    ("batched_blocks", "lp.batch_size:sum", None),
+    ("batch_cache_hits", "lp.batch_cache.hits", None),
+    ("batch_cache_misses", "lp.batch_cache.misses", None),
+    ("batch_cache_lookups", "lp.batch_cache.*",
+     "batch cache        {batch_cache_hits}/{batch_cache_lookups} hits "
+     "({batch_cache_hits/batch_cache_lookups:.0%})"),
+    ("cache_hits", "lp.cache.hits", None),
+    ("cache_misses", "lp.cache.misses", None),
+    ("cache_lookups", "lp.cache.*",
+     "solve cache        {cache_hits}/{cache_lookups} hits "
+     "({cache_hits/cache_lookups:.0%})"),
+    ("scenario_memo_hits", "memo.hits", None),
+    ("scenario_memo_misses", "memo.misses", None),
+    ("scenario_memo_lookups", "memo.*",
+     "scenario memo      {scenario_memo_hits}/{scenario_memo_lookups} hits "
+     "({scenario_memo_hits/scenario_memo_lookups:.0%})"),
+    ("shard_solves", "shard.solves",
+     "shard solves       {shard_solves}\n"
+     "coordinator        {coordinator_iterations} outer iterations, "
+     "duality gap {coordinator_gap_j:.6g} J"),
+    ("coordinator_iterations", "shard.outer_iterations", None),
+    ("coordinator_gap_j", "shard.duality_gap_j", None),
+    ("faults_detected", "faults.detected",
+     "faults detected    {faults_detected}\n"
+     "recovery           {retries} retries, {degradations} degradations, "
+     "{reassignments} reassignments, {tasks_dropped} drops\n"
+     "tasks recovered    {tasks_recovered}"),
+    ("retries", "faults.retry", None),
+    ("degradations", "faults.degrade", None),
+    ("reassignments", "faults.reassign", None),
+    ("tasks_dropped", "faults.drop", None),
+    ("tasks_recovered", "faults.recovered", None),
+    ("cell_retries", "runtime.retries",
+     "cell retries       {cell_retries} ({cell_timeouts} from timeouts)"),
+    ("cell_timeouts", "runtime.timeouts", None),
+    ("cells_quarantined", "runtime.quarantines",
+     "cells quarantined  {cells_quarantined}{quarantine_detail}"),
+    ("lp_fallbacks", "lp.fallback.*",
+     "LP fallbacks       {lp_fallbacks} ({fallback_rungs})"),
+    ("journal_replays", "journal.replays",
+     "journal replays    {journal_replays}"),
+)
 
-    One record per LP solve; the counters are additive so worker snapshots
-    merge losslessly into the parent's sink.  Two structured slots ride
-    the same reset/merge/pickle protocol: ``metrics``
+_SOURCES: Dict[str, str] = {attr: source for attr, source, _ in COUNTERS}
+
+#: Rows whose zero is news once LPs ran: the cache or memo was bypassed.
+_SHOWN_UNUSED = ("cache_lookups", "scenario_memo_lookups")
+
+
+class _Count(float):
+    """A counter value whose bare ``{field}`` renders via
+    :func:`~repro.obs.metrics.format_count`."""
+
+    def __format__(self, spec: str) -> str:
+        return format(float(self), spec) if spec else format_count(self)
+
+
+class _Fields(dict):
+    """``--stats`` template fields; a field ``a/b`` reads as ``a`` over ``b``."""
+
+    def __missing__(self, key: str) -> float:
+        numerator, _, denominator = key.partition("/")
+        if not denominator:
+            raise KeyError(key)
+        return self[numerator] / self[denominator]
+
+
+class Telemetry:
+    """The per-run telemetry sink attached to a :class:`RunContext`.
+
+    Three slots, each defining ``+`` so worker snapshots merge losslessly
+    into the parent's sink: ``metrics``
     (:class:`repro.obs.metrics.Metrics` — named counters plus fixed-bucket
-    histograms, merged bucket-wise) and ``spans``
+    histograms, merged bucket-wise), ``spans``
     (:class:`repro.obs.spans.SpanLog` — completed tracer spans, merged by
-    track-aware concatenation).
+    track-aware concatenation) and ``quarantines`` (one
+    ``{"label", "attempts", "error"}`` dict per poison cell skipped by
+    :mod:`repro.runtime`).  Every :data:`COUNTERS` attribute reads its
+    value out of ``metrics``.
     """
 
-    __slots__ = (
-        "solves",
-        "solve_wall_s",
-        "lp_iterations",
-        "batch_solves",
-        "batched_blocks",
-        "cache_hits",
-        "cache_misses",
-        "batch_cache_hits",
-        "batch_cache_misses",
-        "scenario_memo_hits",
-        "scenario_memo_misses",
-        "shard_solves",
-        "coordinator_iterations",
-        "coordinator_gap_j",
-        "faults_detected",
-        "retries",
-        "degradations",
-        "reassignments",
-        "tasks_dropped",
-        "tasks_recovered",
-        "cell_retries",
-        "cell_timeouts",
-        "cells_quarantined",
-        "lp_fallbacks",
-        "journal_replays",
-        "quarantines",
-        "metrics",
-        "spans",
-    )
+    __slots__ = ("metrics", "spans", "quarantines")
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        """Zero every counter and empty the metrics/span sinks."""
-        # Local import: repro.obs.metrics/spans are import-light leaves,
-        # but this module's default context is built at import time, so a
-        # top-level import would cycle through repro.obs back into here.
-        from repro.obs.metrics import Metrics
-        from repro.obs.spans import SpanLog
-
+        """Empty the metrics, span and quarantine sinks."""
         self.metrics = Metrics()
         self.spans = SpanLog()
-        self.solves = 0
-        self.solve_wall_s = 0.0
-        self.lp_iterations = 0
-        self.batch_solves = 0
-        self.batched_blocks = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.batch_cache_hits = 0
-        self.batch_cache_misses = 0
-        self.scenario_memo_hits = 0
-        self.scenario_memo_misses = 0
-        self.shard_solves = 0
-        self.coordinator_iterations = 0
-        self.coordinator_gap_j = 0.0
-        self.faults_detected = 0
-        self.retries = 0
-        self.degradations = 0
-        self.reassignments = 0
-        self.tasks_dropped = 0
-        self.tasks_recovered = 0
-        self.cell_retries = 0
-        self.cell_timeouts = 0
-        self.cells_quarantined = 0
-        self.lp_fallbacks = 0
-        self.journal_replays = 0
-        self.quarantines = []
+        self.quarantines: List[Dict[str, Any]] = []
+
+    def __getattr__(self, name: str) -> float:
+        # Only table attributes resolve.  Everything else — pickle's hook
+        # probes, a slot read before unpickling fills it — must raise, or
+        # the lookup of ``self.metrics`` below would recurse.
+        source = _SOURCES.get(name)
+        if source is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        return self.metrics.read(source)
 
     def record_solve(
         self,
@@ -142,12 +185,10 @@ class Telemetry:
         :param iterations: solver iterations (zero for cache hits).
         :param cache_hit: the result came out of an LP solve cache.
         """
-        self.solves += 1
-        self.solve_wall_s += wall_time_s
-        self.lp_iterations += iterations
-        # The distribution view of the same event: the `solve` stage
-        # histogram covers every solve (cache hits are real pipeline
-        # latency), the iteration histogram only actual solver runs.
+        self.metrics.incr("lp.solves")
+        # The `solve` stage histogram covers every solve (cache hits are
+        # real pipeline latency), the iteration histogram only actual
+        # solver runs.
         self.metrics.observe("stage.solve_s", wall_time_s)
         if not cache_hit:
             self.metrics.observe("lp.iterations", float(iterations))
@@ -162,7 +203,7 @@ class Telemetry:
     ) -> None:
         """Record one batched mega-solve clearing ``blocks`` LP blocks.
 
-        Each block counts as one solve (so ``solves`` stays comparable
+        Each block counts as one solve (so ``lp.solves`` stays comparable
         between the batched and sequential paths) and contributes its own
         iteration count to the ``lp.iterations`` histogram; the batch as a
         whole feeds the ``lp.batch_size`` histogram and, through
@@ -176,11 +217,7 @@ class Telemetry:
             ``stage.batch_assembly_s`` histogram (callers that time the
             assembly with :func:`~repro.obs.tracer.stage` pass ``None``).
         """
-        self.batch_solves += 1
-        self.batched_blocks += blocks
-        self.solves += blocks
-        self.solve_wall_s += wall_time_s
-        self.lp_iterations += sum(iterations)
+        self.metrics.incr("lp.solves", float(blocks))
         self.metrics.observe("lp.batch_size", float(blocks))
         self.metrics.observe("stage.solve_s", wall_time_s)
         for count in iterations:
@@ -188,214 +225,48 @@ class Telemetry:
         if assembly_s is not None:
             self.metrics.observe("stage.batch_assembly_s", assembly_s)
 
-    def record_cache(self, hit: bool) -> None:
-        """Count one LP solve-cache lookup."""
-        if hit:
-            self.cache_hits += 1
-        else:
-            self.cache_misses += 1
-
-    def record_batch_cache(self, hit: bool) -> None:
-        """Count one whole-batch LP solve-cache lookup."""
-        if hit:
-            self.batch_cache_hits += 1
-        else:
-            self.batch_cache_misses += 1
-
-    def record_scenario_memo(self, hit: bool) -> None:
-        """Count one per-worker scenario-memo lookup (see
-        :mod:`repro.experiments.parallel`)."""
-        if hit:
-            self.scenario_memo_hits += 1
-        else:
-            self.scenario_memo_misses += 1
-
-    def record_recovery(self, action: str, recovered: bool) -> None:
-        """Record one fault-recovery event (see :mod:`repro.faults`).
-
-        :param action: the recovery action taken — ``"drop"``, ``"none"``,
-            ``"retry"``, ``"degrade"`` or ``"reassign"``.
-        :param recovered: whether the task still met its deadline.
-        """
-        self.faults_detected += 1
-        if action == "retry":
-            self.retries += 1
-        elif action == "degrade":
-            self.degradations += 1
-        elif action == "reassign":
-            self.reassignments += 1
-        elif action == "drop":
-            self.tasks_dropped += 1
-        if recovered:
-            self.tasks_recovered += 1
-
-    def record_retry(self, *, timeout: bool = False) -> None:
-        """Count one supervised cell retry (see :mod:`repro.runtime`).
-
-        :param timeout: the retry was triggered by a per-cell wall-clock
-            timeout rather than a crash or exception.
-        """
-        self.cell_retries += 1
-        self.metrics.incr("runtime.retries")
-        if timeout:
-            self.cell_timeouts += 1
-            self.metrics.incr("runtime.timeouts")
-
-    def record_quarantine(self, label: str, attempts: int, error: str) -> None:
-        """Record one poison cell skipped after exhausting its attempts.
-
-        :param label: where the cell lives (indices, shard, seed).
-        :param attempts: how many attempts it was charged.
-        :param error: the final failure, remote traceback included.
-        """
-        self.cells_quarantined += 1
-        self.metrics.incr("runtime.quarantines")
-        self.quarantines.append(
-            {"label": label, "attempts": attempts, "error": error}
-        )
-
-    def record_fallback(self, rung: str) -> None:
-        """Count one solver fallback-ladder descent onto ``rung``."""
-        self.lp_fallbacks += 1
-        self.metrics.incr(f"lp.fallback.{rung}")
-
-    def record_journal_replay(self, count: int = 1) -> None:
-        """Count cells replayed from the checkpoint journal (``--resume``)."""
-        self.journal_replays += count
-        self.metrics.incr("journal.replays", float(count))
-
     def merge(self, other: "Telemetry") -> None:
         """Fold another sink into this one (worker hand-back).
 
-        Scalar counters add; the metrics bag and the span log define
-        ``+`` themselves (bucket-wise addition, track-aware
-        concatenation), so the same loop covers all three.
+        Each slot defines ``+`` (bucket-wise metrics addition, track-aware
+        span concatenation, list concatenation), so one loop covers all
+        three.
         """
         for name in self.__slots__:
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
-    def as_dict(self) -> Dict[str, float]:
-        """The counters as a plain dict (stable keys, for reports/tests)."""
-        return {
-            "solves": self.solves,
-            "solve_wall_s": self.solve_wall_s,
-            "lp_iterations": self.lp_iterations,
-            "batch_solves": self.batch_solves,
-            "batched_blocks": self.batched_blocks,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "batch_cache_hits": self.batch_cache_hits,
-            "batch_cache_misses": self.batch_cache_misses,
-            "scenario_memo_hits": self.scenario_memo_hits,
-            "scenario_memo_misses": self.scenario_memo_misses,
-            "shard_solves": self.shard_solves,
-            "coordinator_iterations": self.coordinator_iterations,
-            "coordinator_gap_j": self.coordinator_gap_j,
-            "faults_detected": self.faults_detected,
-            "retries": self.retries,
-            "degradations": self.degradations,
-            "reassignments": self.reassignments,
-            "tasks_dropped": self.tasks_dropped,
-            "tasks_recovered": self.tasks_recovered,
-            "cell_retries": self.cell_retries,
-            "cell_timeouts": self.cell_timeouts,
-            "cells_quarantined": self.cells_quarantined,
-            "lp_fallbacks": self.lp_fallbacks,
-            "journal_replays": self.journal_replays,
-        }
-
     def summary(self) -> str:
-        """A compact human-readable report (the CLI's ``--stats`` output).
+        """A compact human-readable report (the CLI's ``--stats`` output),
+        rendered from :data:`COUNTERS`.
 
         A run that never touched an LP (pure-greedy algorithms, coverage
         sweeps) renders one clean line instead of a block of zeros and
         ratio lines whose denominators would all be zero.
         """
-        lookups = self.cache_hits + self.cache_misses
-        if self.solves == 0:
-            lines = ["no LP solves recorded"]
-        else:
-            lines = [
-                f"LP solves          {self.solves}",
-                f"solve wall time    {self.solve_wall_s:.3f} s",
-                f"LP iterations      {self.lp_iterations}",
-            ]
-        if self.batch_solves:
-            lines.append(
-                f"batched solves     {self.batched_blocks} blocks in "
-                f"{self.batch_solves} mega-solves"
-            )
-        batch_lookups = self.batch_cache_hits + self.batch_cache_misses
-        if batch_lookups:
-            lines.append(
-                f"batch cache        {self.batch_cache_hits}/{batch_lookups} hits "
-                f"({self.batch_cache_hits / batch_lookups:.0%})"
-            )
-        if lookups:
-            lines.append(
-                f"solve cache        {self.cache_hits}/{lookups} hits "
-                f"({self.cache_hits / lookups:.0%})"
-            )
-        elif self.solves:
-            lines.append("solve cache        not used")
-        memo_lookups = self.scenario_memo_hits + self.scenario_memo_misses
-        if memo_lookups:
-            lines.append(
-                f"scenario memo      {self.scenario_memo_hits}/{memo_lookups} hits "
-                f"({self.scenario_memo_hits / memo_lookups:.0%})"
-            )
-        elif self.solves:
-            lines.append("scenario memo      not used")
-        if self.shard_solves:
-            lines.append(f"shard solves       {self.shard_solves}")
-        if self.coordinator_iterations or self.shard_solves:
-            lines.append(
-                f"coordinator        {self.coordinator_iterations} outer "
-                f"iterations, duality gap {self.coordinator_gap_j:.6g} J"
-            )
-        if self.faults_detected:
-            lines.append(f"faults detected    {self.faults_detected}")
-            lines.append(
-                "recovery           "
-                f"{self.retries} retries, {self.degradations} degradations, "
-                f"{self.reassignments} reassignments, "
-                f"{self.tasks_dropped} drops"
-            )
-            lines.append(f"tasks recovered    {self.tasks_recovered}")
-        if self.cell_retries or self.cells_quarantined:
-            lines.append(
-                f"cell retries       {self.cell_retries} "
-                f"({self.cell_timeouts} from timeouts)"
-            )
-        if self.cells_quarantined:
-            lines.append(f"cells quarantined  {self.cells_quarantined}")
-            for entry in self.quarantines:
-                first = str(entry["error"]).splitlines()[0]
-                lines.append(
-                    f"  {entry['label']}: {first} "
-                    f"({entry['attempts']} attempts)"
-                )
-        if self.lp_fallbacks:
-            rungs = ", ".join(
-                f"{name.split('lp.fallback.', 1)[1]} x{int(count)}"
-                for name, count in sorted(self.metrics.counters.items())
-                if name.startswith("lp.fallback.")
-            )
-            lines.append(f"LP fallbacks       {self.lp_fallbacks} ({rungs})")
-        if self.journal_replays:
-            lines.append(f"journal replays    {self.journal_replays}")
+        fields = _Fields(
+            (attr, _Count(self.metrics.read(source)))
+            for attr, source, _ in COUNTERS
+        )
+        fields["fallback_rungs"] = ", ".join(
+            f"{name[len('lp.fallback.'):]} x{int(count)}"
+            for name, count in sorted(self.metrics.counters.items())
+            if name.startswith("lp.fallback.")
+        )
+        fields["quarantine_detail"] = "".join(
+            f"\n  {entry['label']}: {str(entry['error']).splitlines()[0]} "
+            f"({entry['attempts']} attempts)"
+            for entry in self.quarantines
+        )
+        lines = [] if fields["solves"] else ["no LP solves recorded"]
+        for attr, _, line in COUNTERS:
+            if line is None:
+                continue
+            if fields[attr]:
+                lines.append(line.format_map(fields))
+            elif attr in _SHOWN_UNUSED and fields["solves"]:
+                # The label is the line's text before its first field.
+                lines.append(line.split("{", 1)[0] + "not used")
         return "\n".join(lines)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        for name in self.__slots__:
-            setattr(self, name, state[name])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"Telemetry({inner})"
 
 
 @dataclass(frozen=True)

@@ -217,8 +217,8 @@ def _record_rung(
     as a fallback.
     """
     if backend != options.backend or dense:
-        context.telemetry.record_fallback(
-            f"{backend}-dense" if dense else backend
+        context.telemetry.metrics.incr(
+            f"lp.fallback.{backend}-dense" if dense else f"lp.fallback.{backend}"
         )
 
 
@@ -316,7 +316,7 @@ def _solve_p2(
                 return result
             last = result
     # Bottom rung: never abort the sweep over one pathological cluster.
-    context.telemetry.record_fallback("greedy")
+    context.telemetry.metrics.incr("lp.fallback.greedy")
     return _greedy_p2(costs, last=last)
 
 
@@ -404,7 +404,7 @@ def _solve_p2_batch(
                 results[index] = hit
                 # Each block is a cache-served solve, so the per-solve
                 # counters stay comparable with the sequential path.
-                context.telemetry.record_cache(True)
+                context.telemetry.metrics.incr("lp.cache.hits")
                 context.telemetry.record_solve(
                     wall_time_s=share, iterations=0, cache_hit=True
                 )
@@ -466,7 +466,7 @@ def _solve_p2_batch(
             if result is not None:
                 # A block the batched solver actually failed on (not a
                 # mere cache miss) is a ladder descent worth counting.
-                context.telemetry.record_fallback("batch-to-sequential")
+                context.telemetry.metrics.incr("lp.fallback.batch-to-sequential")
             result = _solve_p2(costs, caps, cap, options, context)
         out.append(result)
     return out

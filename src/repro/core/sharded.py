@@ -257,9 +257,9 @@ def lp_hta_sharded(
         )
         assignment = Assignment(costs, decisions)
         best_dual = sum(cluster.lp_objective_j for cluster in clusters)
-        telemetry.shard_solves += len(views)
+        telemetry.metrics.incr("shard.solves", len(views))
         gap = assignment.total_energy_j() - best_dual
-        telemetry.coordinator_gap_j += gap
+        telemetry.metrics.incr("shard.duality_gap_j", gap)
         relative = guarded_relative_gap(gap, best_dual)
         if math.isfinite(relative):
             telemetry.metrics.observe("coordinator.duality_gap_rel", relative)
@@ -301,7 +301,7 @@ def lp_hta_sharded(
             results = [
                 _solve_p2(p, caps, cap, options, context) for p, caps, cap in jobs
             ]
-        telemetry.shard_solves += len(prepared)
+        telemetry.metrics.incr("shard.solves", len(prepared))
 
         objective = 0.0
         fractional_load = 0.0
@@ -354,8 +354,8 @@ def lp_hta_sharded(
     outcome = coordinate_shared_capacity(solve_priced, cloud_capacity, coordinator)
     assignment = Assignment(costs, list(outcome.best_payload))
     gap = assignment.total_energy_j() - outcome.best_dual_j
-    telemetry.coordinator_iterations += outcome.iterations_run
-    telemetry.coordinator_gap_j += gap
+    telemetry.metrics.incr("shard.outer_iterations", outcome.iterations_run)
+    telemetry.metrics.incr("shard.duality_gap_j", gap)
     relative = guarded_relative_gap(gap, outcome.best_dual_j)
     if math.isfinite(relative):
         telemetry.metrics.observe("coordinator.duality_gap_rel", relative)

@@ -250,7 +250,9 @@ def _scenario_for(
         return generate_scenario(profile, seed=seed)
     key = (profile, seed, context)
     scenario = _SCENARIO_MEMO.get(key)
-    context.telemetry.record_scenario_memo(scenario is not None)
+    context.telemetry.metrics.incr(
+        "memo.hits" if scenario is not None else "memo.misses"
+    )
     if scenario is not None:
         _SCENARIO_MEMO.move_to_end(key)
         return scenario
@@ -561,7 +563,7 @@ def run_cells(
                 results[index] = value
                 replayed.add(index)
         if replayed:
-            ambient.telemetry.record_journal_replay(len(replayed))
+            ambient.telemetry.metrics.incr("journal.replays", len(replayed))
 
     groups = [
         tuple(i for i in column if i not in replayed) for column in columns
@@ -722,7 +724,7 @@ def _evaluate_tile(cell: TileCell) -> TileResult:
                 lp_objective_j=0.0,
             )
         report = lp_hta(tile.system, list(tile.tasks), context=context)
-        context.telemetry.shard_solves += 1
+        context.telemetry.metrics.incr("shard.solves")
         counts = report.assignment.subsystem_counts()
         return TileResult(
             shard_id=cell.shard_id,
@@ -826,7 +828,7 @@ def run_tiles(
                 results[index] = value
                 replayed.add(index)
         if replayed:
-            ambient.telemetry.record_journal_replay(len(replayed))
+            ambient.telemetry.metrics.incr("journal.replays", len(replayed))
 
     # Tiles are already the dispatch granularity: one singleton unit each.
     groups = [(i,) for i in range(len(bound)) if i not in replayed]

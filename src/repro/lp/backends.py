@@ -158,7 +158,7 @@ def solve_with_fallback(
         result = solve(problem, method, context=ctx)
         if result.status.ok:
             if rung > 0:
-                ctx.telemetry.record_fallback(method)
+                ctx.telemetry.metrics.incr(f"lp.fallback.{method}")
             return result
     assert result is not None
     return result

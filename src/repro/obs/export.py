@@ -22,6 +22,8 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Tuple
 
+from repro.obs.metrics import format_count
+
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.context import Telemetry
 
@@ -49,9 +51,9 @@ CANONICAL_STAGES: Tuple[str, ...] = (
 
 
 def jsonl_lines(telemetry: "Telemetry") -> Iterator[str]:
-    """One JSON object per line: spans first, then counters, histograms and
-    the scalar telemetry counters.  Keys are sorted, so two logs differ
-    only where their content does."""
+    """One JSON object per line: spans first, then counters and
+    histograms.  Keys are sorted, so two logs differ only where their
+    content does."""
     for record in telemetry.spans:
         yield json.dumps(
             {
@@ -75,9 +77,6 @@ def jsonl_lines(telemetry: "Telemetry") -> Iterator[str]:
         payload = metrics.histograms[name].as_dict()
         payload["type"] = "histogram"
         yield json.dumps(payload, sort_keys=True)
-    yield json.dumps(
-        {"type": "telemetry", "counters": telemetry.as_dict()}, sort_keys=True
-    )
 
 
 def write_jsonl(telemetry: "Telemetry", path: str) -> None:
@@ -181,8 +180,8 @@ def stage_report(telemetry: "Telemetry") -> str:
 
     Canonical stages always appear (zero-count rows print dashes); any
     additional ``stage.*`` histograms follow, then the non-stage
-    histograms (LP iterations, per-epoch decision latency, ...) and the
-    counters that only make sense as ratios.
+    histograms (LP iterations, per-epoch decision latency, ...), every
+    counter and the per-quarantine detail.
     """
     metrics = telemetry.metrics
     named = [(name, f"stage.{name}_s") for name in CANONICAL_STAGES]
@@ -244,36 +243,10 @@ def stage_report(telemetry: "Telemetry") -> str:
     if metrics.counters:
         lines.append("")
         for name in sorted(metrics.counters):
-            value = metrics.counters[name]
-            rendered = f"{value:g}"
-            lines.append(f"{name:<26} {rendered}")
+            lines.append(f"{name:<26} {format_count(metrics.counters[name])}")
 
-    lookups = telemetry.cache_hits + telemetry.cache_misses
-    if lookups:
-        lines.append("")
-        lines.append(
-            f"{'lp.cache_hit_ratio':<26} "
-            f"{telemetry.cache_hits / lookups:.3f} "
-            f"({telemetry.cache_hits}/{lookups})"
-        )
-
-    # Sharded LP-HTA coordination: how many shard solves ran, how many
-    # outer subgradient iterations, and the summed duality gap (0 when no
-    # shared-capacity coupling binds — the shards are then exact).
-    if telemetry.shard_solves or telemetry.coordinator_iterations:
-        lines.append("")
-        lines.append(f"{'shard.solves':<26} {telemetry.shard_solves}")
-        lines.append(
-            f"{'shard.outer_iterations':<26} {telemetry.coordinator_iterations}"
-        )
-        lines.append(
-            f"{'shard.duality_gap_j':<26} {telemetry.coordinator_gap_j:.6g}"
-        )
-
-    # Execution-layer robustness.  The scalar counters (runtime.retries,
-    # runtime.quarantines, journal.replays, lp.fallback.<rung>) surface
-    # through the generic counter block above; here we add only the
-    # per-quarantine detail so a degraded run names its poison cells.
+    # The counter block above covers every telemetry counter; a degraded
+    # run also names its poison cells.
     if telemetry.quarantines:
         lines.append("")
         for entry in telemetry.quarantines:

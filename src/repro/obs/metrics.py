@@ -1,17 +1,16 @@
 """Structured metrics: named counters and fixed-bucket histograms.
 
-The existing :class:`~repro.context.Telemetry` counters answer "how many"
-and "how long in total"; they cannot answer "what is the p99".  This module
-adds the missing distribution layer while keeping the same aggregation
-contract the counters already obey:
+The one registry behind :class:`~repro.context.Telemetry`: counters
+answer "how many" and "how long in total", histograms answer "what is the
+p99".  Both obey one aggregation contract:
 
 - **fixed buckets** — every histogram's bucket boundaries are a pure
   function of its metric name (:func:`bounds_for`), so two histograms with
   the same name — recorded in different worker processes, under fork or
   spawn — are always bucket-compatible and merge by elementwise addition;
 - **additive merge** — :meth:`Metrics.__add__` folds counters and bucket
-  counts together losslessly, which is exactly what
-  :meth:`repro.context.Telemetry.merge` does with its scalar slots;
+  counts together losslessly; :meth:`repro.context.Telemetry.merge` relies
+  on it to fold worker sinks into the parent's;
 - **no wall-clock identity** — a histogram stores *counts*, never raw
   samples or timestamps, so merged metrics are bit-identical across start
   methods and process counts for a deterministic workload.
@@ -28,7 +27,7 @@ This module intentionally imports nothing from the rest of the package so
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
     "DEFAULT_BOUNDS",
@@ -37,20 +36,14 @@ __all__ = [
     "Histogram",
     "Metrics",
     "bounds_for",
+    "format_count",
 ]
 
-
-def _log_grid(decades: Iterable[int], steps: Tuple[float, ...]) -> Tuple[float, ...]:
-    return tuple(step * 10.0 ** d for d in decades for step in steps)
-
-
-#: Latency buckets: 1/2.5/5 per decade from 10 µs to 10 s, then a minute.
-#: Every metric named ``*_s`` uses these, so stage timings from any process
-#: merge bucket-for-bucket.
-TIME_BOUNDS_S: Tuple[float, ...] = _log_grid(range(-5, 1), (1.0, 2.5, 5.0)) + (
-    25.0,
-    60.0,
-)
+#: Latency buckets: 20 per decade (ratio 10**0.05 ≈ 1.122) from 10 µs to
+#: 63 s, so an interpolated quantile lands within one 12 % step of the
+#: sample it estimates even at a count of two.  Every metric named ``*_s``
+#: uses these, so stage timings from any process merge bucket-for-bucket.
+TIME_BOUNDS_S: Tuple[float, ...] = tuple(10.0 ** (k / 20) for k in range(-100, 37))
 
 #: Iteration-count buckets (IPM/simplex iterations per solve).
 ITERATION_BOUNDS: Tuple[float, ...] = (
@@ -59,7 +52,7 @@ ITERATION_BOUNDS: Tuple[float, ...] = (
 )
 
 #: Fallback buckets for unnamed quantities: one per decade.
-DEFAULT_BOUNDS: Tuple[float, ...] = _log_grid(range(0, 7), (1.0,))
+DEFAULT_BOUNDS: Tuple[float, ...] = tuple(10.0 ** d for d in range(0, 7))
 
 #: Metric names with buckets that the suffix rules would get wrong.
 #: ``lp.batch_size`` (blocks per mega-solve) shares the iteration grid:
@@ -84,6 +77,14 @@ def bounds_for(name: str) -> Tuple[float, ...]:
     if name.endswith("_s"):
         return TIME_BOUNDS_S
     return DEFAULT_BOUNDS
+
+
+def format_count(value: float) -> str:
+    """A counter as text: integral values as integers (``1234567``, never
+    ``1.23457e+06``), others in ``g`` format.  Counters are floats, so both
+    ``--stats`` and ``mecrepro report`` print through this."""
+    value = float(value)
+    return str(int(value)) if value.is_integer() else f"{value:g}"
 
 
 class Histogram:
@@ -229,6 +230,18 @@ class Metrics:
     def counter(self, name: str) -> float:
         """The named counter's value (zero when never incremented)."""
         return self.counters.get(name, 0.0)
+
+    def read(self, source: str) -> float:
+        """One value by source: a counter name, ``"<histogram>:sum"`` or
+        ``"<histogram>:count"``, or ``"<prefix>.*"`` (the sum of every
+        counter under that prefix).  Zero when nothing was recorded."""
+        name, _, field = source.partition(":")
+        if field:
+            return getattr(self.histograms.get(name), field, 0)
+        if name.endswith("*"):
+            prefix = name[:-1]
+            return sum(v for k, v in self.counters.items() if k.startswith(prefix))
+        return self.counter(name)
 
     def histogram(self, name: str) -> Optional[Histogram]:
         """The named histogram, or ``None`` when nothing was observed."""

@@ -414,8 +414,13 @@ def simulate_online(
         pre_dropped = len(full_batch) - len(batch)
         realized_unsat = (base_unsat + pre_dropped) / len(full_batch)
 
+        metrics = context.telemetry.metrics
         for event in epoch_events:
-            context.telemetry.record_recovery(event.action, event.recovered)
+            metrics.incr("faults.detected")
+            if event.action != "none":
+                metrics.incr(f"faults.{event.action}")
+            if event.recovered:
+                metrics.incr("faults.recovered")
         all_events.extend(epoch_events)
 
         records.append(

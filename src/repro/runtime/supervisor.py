@@ -202,12 +202,16 @@ class Supervisor:
                     f"{self._describe(unit.ids)} failed after "
                     f"{unit.attempts} attempts: {error}"
                 )
-            telemetry.record_quarantine(
-                self._describe(unit.ids), unit.attempts, error
+            telemetry.metrics.incr("runtime.quarantines")
+            label = self._describe(unit.ids)
+            telemetry.quarantines.append(
+                {"label": label, "attempts": unit.attempts, "error": error}
             )
             quarantined.extend(unit.ids)
             return
-        telemetry.record_retry(timeout=timeout)
+        telemetry.metrics.incr("runtime.retries")
+        if timeout:
+            telemetry.metrics.incr("runtime.timeouts")
         requeue.extend(self._split(unit))
 
     @staticmethod

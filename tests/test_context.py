@@ -1,10 +1,14 @@
 """RunContext: activation stack, LP cache and telemetry plumbing."""
 
+import ast
+import json
 import pickle
+from pathlib import Path
 
 import pytest
 
-from repro.context import RunContext, Telemetry, current_context, use_context
+from repro.context import COUNTERS, RunContext, Telemetry, current_context, use_context
+from repro.obs.export import jsonl_lines
 from repro.lp import backends
 from repro.lp.problem import LinearProgram
 from repro.workload.generator import generate_scenario
@@ -107,8 +111,8 @@ class TestTelemetry:
         telemetry = Telemetry()
         telemetry.record_solve(wall_time_s=0.25, iterations=10)
         telemetry.record_solve(wall_time_s=0.05, iterations=4)
-        telemetry.record_cache(True)
-        telemetry.record_cache(False)
+        telemetry.metrics.incr("lp.cache.hits")
+        telemetry.metrics.incr("lp.cache.misses")
         assert telemetry.solves == 2
         assert telemetry.lp_iterations == 14
         summary = telemetry.summary()
@@ -119,7 +123,7 @@ class TestTelemetry:
         a, b = Telemetry(), Telemetry()
         a.record_solve(wall_time_s=1.0, iterations=5)
         b.record_solve(wall_time_s=2.0, iterations=7)
-        b.record_cache(True)
+        b.metrics.incr("lp.cache.hits")
         a.merge(b)
         assert a.solves == 2
         assert a.solve_wall_s == pytest.approx(3.0)
@@ -129,8 +133,38 @@ class TestTelemetry:
     def test_pickle_roundtrip(self):
         telemetry = Telemetry()
         telemetry.record_solve(wall_time_s=0.5, iterations=2)
+        telemetry.metrics.incr("runtime.quarantines")
+        telemetry.quarantines.append({"label": "c", "attempts": 2, "error": "x"})
         clone = pickle.loads(pickle.dumps(telemetry))
-        assert clone.as_dict() == telemetry.as_dict()
+        assert clone.metrics == telemetry.metrics
+        assert clone.quarantines == telemetry.quarantines
+        assert clone.solves == 1 and clone.cells_quarantined == 1
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError):
+            Telemetry().no_such_counter  # noqa: B018
+
+    def test_bench_attributes_resolve(self):
+        # bench/layers.py reads the sink by attribute name; every name it
+        # reads must resolve on a fresh sink (to zero).
+        source = (Path(__file__).parents[1] / "bench" / "layers.py").read_text()
+        function = next(
+            node
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name == "telemetry_counts"
+        )
+        names = {
+            node.attr
+            for node in ast.walk(function)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "telemetry"
+            and node.attr != "metrics"
+        }
+        assert {"lp_iterations", "lp_fallbacks", "cache_hits"} <= names
+        telemetry = Telemetry()
+        for name in names:
+            assert getattr(telemetry, name) == 0, name
 
     def test_solves_recorded_by_backend(self):
         context = RunContext()
@@ -139,3 +173,48 @@ class TestTelemetry:
         assert context.telemetry.solves == 1
         assert context.telemetry.solve_wall_s > 0.0
         assert context.telemetry.lp_iterations > 0
+
+
+def _bump(telemetry: Telemetry, source: str) -> str:
+    """Record one event into ``source``; return the metric name it hit."""
+    name, _, field = source.partition(":")
+    if field:
+        telemetry.metrics.observe(name, 1.0)
+        return name
+    if name.endswith("*"):
+        name = name[:-1] + "probe"
+    telemetry.metrics.incr(name)
+    return name
+
+
+def _bumped_all() -> Telemetry:
+    telemetry = Telemetry()
+    for _, source, _ in COUNTERS:
+        _bump(telemetry, source)
+    return telemetry
+
+
+class TestCounterTable:
+    """Every :data:`COUNTERS` row reaches every view of the sink."""
+
+    def test_attributes_are_unique(self):
+        attrs = [attr for attr, _, _ in COUNTERS]
+        assert len(attrs) == len(set(attrs))
+
+    @pytest.mark.parametrize("attr, source", [row[:2] for row in COUNTERS])
+    def test_row_reaches_every_view(self, attr, source):
+        telemetry = _bumped_all()
+        before = getattr(telemetry, attr)
+        summary = telemetry.summary()
+        metric = _bump(telemetry, source)
+        assert getattr(telemetry, attr) != before
+        # --stats renders the row (its own line or another row's line).
+        assert telemetry.summary() != summary
+        # The JSONL log carries it as a counter or histogram line.
+        names = {json.loads(line).get("name") for line in jsonl_lines(telemetry)}
+        assert metric in names
+        # It survives pickling and merges additively.
+        clone = pickle.loads(pickle.dumps(telemetry))
+        assert getattr(clone, attr) == getattr(telemetry, attr)
+        clone.merge(telemetry)
+        assert getattr(clone, attr) == pytest.approx(2 * getattr(telemetry, attr))

@@ -30,7 +30,7 @@ from repro.obs.export import (
     stage_breakdown,
     stage_report,
 )
-from repro.obs.metrics import Histogram, Metrics, bounds_for
+from repro.obs.metrics import TIME_BOUNDS_S, Histogram, Metrics, bounds_for, format_count
 from repro.obs.spans import SpanLog, SpanRecord
 from repro.obs.tracer import NOOP_SPAN, record_span, span, stage, staged, traced
 from repro.registry import LP_HTA
@@ -84,6 +84,21 @@ class TestHistogram:
         b = Histogram("lp.iterations")
         with pytest.raises(ValueError):
             a.merged(b)
+
+    @pytest.mark.parametrize(
+        "samples", [(0.6, 1.4), (0.11, 0.12, 0.13, 0.14)], ids=["two", "four"]
+    )
+    def test_low_count_median_within_one_grid_step(self, samples):
+        # A coarse grid once reported p50 = 1.0 s for (0.6, 1.4) — a value
+        # never observed — and 0.14 s for the second set.
+        h = Histogram("stage.solve_s")
+        for value in samples:
+            h.observe(value)
+        nearest_rank = sorted(samples)[math.ceil(0.5 * len(samples)) - 1]
+        step = TIME_BOUNDS_S[1] / TIME_BOUNDS_S[0]
+        assert step == pytest.approx(10 ** 0.05)
+        ratio = h.quantile(0.5) / nearest_rank
+        assert 1 / step <= ratio <= step
 
     def test_bounds_for_is_stable_per_name(self):
         # Merge-compatibility across processes relies on this.
@@ -418,9 +433,22 @@ class TestExport:
         lines = list(jsonl_lines(_traced_telemetry()))
         parsed = [json.loads(line) for line in lines]
         types = {entry["type"] for entry in parsed}
-        assert types == {"span", "counter", "histogram", "telemetry"}
-        assert parsed[-1]["type"] == "telemetry"
-        assert parsed[-1]["counters"]["solves"] == 1
+        assert types == {"span", "counter", "histogram"}
+        counters = {e["name"]: e["value"] for e in parsed if e["type"] == "counter"}
+        assert counters["lp.solves"] == 1
+
+    def test_stage_report_prints_integral_counters_as_integers(self):
+        telemetry = Telemetry()
+        telemetry.metrics.incr("des.events", 1234567)
+        telemetry.metrics.incr("shard.duality_gap_j", -2342.8312)
+        report = stage_report(telemetry)
+        assert f"{'des.events':<26} 1234567" in report
+        assert f"{'shard.duality_gap_j':<26} -2342.83" in report
+
+    def test_format_count(self):
+        assert format_count(1234567.0) == "1234567"
+        assert format_count(0.0) == "0"
+        assert format_count(0.125) == "0.125"
 
     def test_stage_report_lists_canonical_stages(self):
         report = stage_report(_traced_telemetry())
