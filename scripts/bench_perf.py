@@ -183,8 +183,8 @@ def _batch_stats(telemetry):
     distribution, and the whole-batch cache hit rate.  The first repeat
     is the one reported because it runs on a cold cache — later repeats
     serve whole columns from the batch cache and never assemble a
-    mega-solve.  All zeros (and a ``null`` size section) when every sweep
-    column held a single cell.
+    mega-solve.  A single cluster counts as a batch of one; all zeros
+    (and a ``null`` size section) when no Step-1 solve ran.
     """
     counters = {
         "batch_solves": int(telemetry.batch_solves),

@@ -45,11 +45,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 __all__ = [
     "COUNTERS",
+    "FALLBACK_LADDER",
     "RunContext",
     "Telemetry",
     "current_context",
     "use_context",
 ]
+
+
+#: The default LP fallback ladder below the primary backend: our IPM
+#: first, the from-scratch simplex as the numerically independent retry,
+#: scipy/HiGHS as the external last resort.  Defined here, not in
+#: :mod:`repro.lp.backends` (which re-exports it), because that module
+#: imports this one.
+FALLBACK_LADDER: Tuple[str, ...] = ("interior-point", "simplex", "scipy")
 
 
 #: Every telemetry counter, one row each: the attribute that reads it, its
@@ -201,13 +210,14 @@ class Telemetry:
         iterations: "Sequence[int]",
         assembly_s: Optional[float] = None,
     ) -> None:
-        """Record one batched mega-solve clearing ``blocks`` LP blocks.
+        """Record one batched solve clearing ``blocks`` LP blocks.
 
-        Each block counts as one solve (so ``lp.solves`` stays comparable
-        between the batched and sequential paths) and contributes its own
-        iteration count to the ``lp.iterations`` histogram; the batch as a
-        whole feeds the ``lp.batch_size`` histogram and, through
-        :func:`repro.obs.tracer.stage`, the ``batch_assembly``/``solve``
+        Every structured or sparse interior-point rung of LP-HTA's Step 1
+        is one such solve, a single cluster being a batch of one.  Each
+        block counts as one solve (so ``lp.solves`` counts blocks however
+        they were pooled) and contributes its own iteration count to the
+        ``lp.iterations`` histogram; the batch as a whole feeds the
+        ``lp.batch_size`` histogram and the ``batch_assembly``/``solve``
         stage timings.
 
         :param blocks: number of LP blocks cleared by this call.
@@ -275,11 +285,11 @@ class RunContext:
 
     :param reference: select the seed-reference implementation of every
         layer: object-at-a-time generator, scalar uncached cost tables,
-        dense P2 assembly, sequential per-cluster Step 1 with the seed
-        structured solver, naive DTA greedies, per-row assignment metrics
-        and the closure-chained DES replay; the LP solve cache and the
-        scenario memo are bypassed.  Results are bit-identical either way;
-        only speed differs.
+        dense P2 assembly, the seed structured solver in Step 1, naive
+        DTA greedies, per-row assignment metrics and the closure-chained
+        DES replay; the LP solve cache and the scenario memo are
+        bypassed.  Results are bit-identical either way; only speed
+        differs.
     :param lp_backend: default Step-1 backend for LP-HTA.
     :param lp_fallback_backends: tried in order when the primary backend
         fails numerically.
@@ -324,7 +334,7 @@ class RunContext:
 
     reference: bool = False
     lp_backend: str = "structured"
-    lp_fallback_backends: Tuple[str, ...] = ("interior-point", "simplex", "scipy")
+    lp_fallback_backends: Tuple[str, ...] = FALLBACK_LADDER
     lp_cache_capacity: int = 256
     seed: int = 0
     shards: int = 0

@@ -22,15 +22,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.context import RunContext, current_context
+from repro.context import FALLBACK_LADDER, RunContext, current_context
 from repro.core.assignment import Assignment, Subsystem
 from repro.core.costs import NUM_SUBSYSTEMS, ClusterCosts, cluster_costs
 from repro.core.lp_builder import build_p2, build_p2_structured, reshape_solution
-from repro.lp.structured import solve_structured, solve_structured_batch
+from repro.lp.structured import solve_structured_batch
 from repro.core.task import Task
 from repro.lp.backends import solve as lp_solve
 from repro.lp.interior_point import solve_interior_point_batch
@@ -73,7 +73,7 @@ class LPHTAOptions:
     """
 
     backend: str = "structured"
-    fallback_backends: Tuple[str, ...] = ("interior-point", "simplex", "scipy")
+    fallback_backends: Tuple[str, ...] = FALLBACK_LADDER
     rounding: str = "argmax"
     repair_order: str = "largest-first"
     seed: int = 0
@@ -222,14 +222,28 @@ def _record_rung(
         )
 
 
-def _solve_p2(
-    costs: ClusterCosts,
-    device_caps: Mapping[int, float],
-    station_cap: float,
+def _ladder(options: LPHTAOptions, context: RunContext) -> List[Tuple[str, bool]]:
+    """The ``(backend, dense)`` rungs of one relaxation level, in order.
+
+    The configured backend, then its fallbacks, each once; a sparse
+    interior-point rung gets a dense rebuild-and-retry right below it
+    (sparse factorisation is the usual numerical culprit; reference mode
+    builds P2 dense already, so a retry would repeat it).
+    """
+    rungs: List[Tuple[str, bool]] = []
+    for backend in (options.backend, *options.fallback_backends):
+        rungs.append((backend, False))
+        if backend == "interior-point" and not context.reference:
+            rungs.append((backend, True))
+    return list(dict.fromkeys(rungs))
+
+
+def _solve_p2_ladder(
+    jobs: Sequence[Tuple[ClusterCosts, Mapping[int, float], float]],
     options: LPHTAOptions,
     context: RunContext,
-) -> LPResult:
-    """Step 1: solve P2 down the solver fallback ladder.
+) -> List[LPResult]:
+    """Step 1 for a batch of clusters: solve each P2 down the fallback ladder.
 
     When the resource rows (C2/C3) and the deadline bounds (A1) clash, P2 as
     written can be infeasible — e.g. a large task whose cloud path misses
@@ -239,176 +253,134 @@ def _solve_p2(
     migration or cancellation.  The relaxed optimum is a weaker lower bound,
     so the reported Theorem 2 ratio stays a valid (conservative) bound.
 
-    Within each relaxation level the configured backend and its fallbacks
-    are tried in order; a sparse interior-point rung that fails gets a
-    dense rebuild-and-retry (sparse factorisation is the usual numerical
-    culprit).  A result from any rung below the primary is counted in the
-    telemetry (``lp.fallback.<rung>`` and the ``--stats`` fallback line)
-    and tagged with the backend that produced it.  When every backend
-    fails at both relaxation levels, the ladder bottoms out at
-    :func:`_greedy_p2` instead of raising, so one pathological cluster
+    Within each relaxation level the rungs of :func:`_ladder` are tried in
+    order.  The ladder is walked one rung at a time over the whole batch,
+    and each rung solves only the blocks every earlier rung failed, so no
+    block meets a rung twice.  On healthy instances the first rung (the
+    primary backend, bounds unrelaxed) clears every block in one
+    block-diagonal mega-solve.  A result from any rung below the primary is
+    counted in the telemetry (``lp.fallback.<rung>`` and the ``--stats``
+    fallback line) and tagged with the backend that produced it.  When
+    every backend fails at both relaxation levels, the ladder bottoms out
+    at :func:`_greedy_p2` instead of raising, so one pathological cluster
     cannot abort a whole sweep.
+
+    :param jobs: ``(costs, device_caps, station_cap)`` per cluster; a
+        single cluster is a batch of one.
+    :returns: one Step-1 result per job, in input order.
     """
-    last: Optional[LPResult] = None
+    results: List[Optional[LPResult]] = [None] * len(jobs)
+    last: Dict[int, LPResult] = {}
+    pending = list(range(len(jobs)))
     for relax in (False, True):
-        generic_build = None
-        rungs: List[Tuple[str, bool]] = []
-        for backend in (options.backend, *options.fallback_backends):
-            rungs.append((backend, False))
-            if backend == "interior-point" and not context.reference:
-                # Dense retry right below the sparse IPM rung (reference
-                # mode builds P2 dense already, so a retry would repeat it).
-                rungs.append((backend, True))
-        for backend, dense in rungs:
-            if backend == "structured":
-                grouped = build_p2_structured(
-                    costs, device_caps, station_cap,
-                    relax_deadline_bounds=relax,
-                ).lp
-                with span("solve", context=context, backend=backend):
-                    # Timed from here so ``stage.solve_s`` (and the solve
-                    # wall-time counter) excludes the build above, which has
-                    # its own stage.
-                    start = time.perf_counter()
-                    # Reference mode solves uncached: the seed-era path had
-                    # no solve cache, and benchmark baselines must stay
-                    # honest.
-                    cache = None if context.reference else context.lp_cache
-                    key = None
-                    if cache is not None:
-                        from repro.caching.lp_cache import fingerprint_grouped
-
-                        key = fingerprint_grouped(grouped, backend)
-                        hit = cache.lookup(key)
-                        if hit is not None:
-                            context.telemetry.record_solve(
-                                wall_time_s=time.perf_counter() - start,
-                                iterations=0,
-                                cache_hit=True,
-                            )
-                            _record_rung(context, options, backend, dense)
-                            return hit
-                    result = solve_structured(grouped)
-                    if cache is not None and key is not None and result.status.ok:
-                        cache.insert(key, result)
-                    context.telemetry.record_solve(
-                        wall_time_s=time.perf_counter() - start,
-                        iterations=result.iterations,
-                    )
-            elif dense:
-                # Rebuild the relaxation with dense assembly: the sparse
-                # factorisation is the usual numerical culprit, and the
-                # dense Mehrotra path is the slower, steadier reference.
-                dense_build = build_p2(
-                    costs, device_caps, station_cap,
-                    relax_deadline_bounds=relax, dense=True,
-                )
-                result = lp_solve(dense_build.lp, backend, context=context)
-            else:
-                if generic_build is None:
-                    generic_build = build_p2(
-                        costs, device_caps, station_cap,
-                        relax_deadline_bounds=relax,
-                    )
-                result = lp_solve(generic_build.lp, backend, context=context)
-            if result.status.ok:
-                _record_rung(context, options, backend, dense)
-                return result
-            last = result
-    # Bottom rung: never abort the sweep over one pathological cluster.
-    context.telemetry.metrics.incr("lp.fallback.greedy")
-    return _greedy_p2(costs, last=last)
+        for backend, dense in _ladder(options, context):
+            if not pending:
+                break
+            solved = _solve_rung(
+                [jobs[index] for index in pending], backend, dense, relax, context
+            )
+            failed = []
+            for index, result in zip(pending, solved):
+                if result.status.ok:
+                    _record_rung(context, options, backend, dense)
+                    results[index] = result
+                else:
+                    last[index] = result
+                    failed.append(index)
+            pending = failed
+    for index in pending:
+        # Bottom rung: never abort the sweep over one pathological cluster.
+        context.telemetry.metrics.incr("lp.fallback.greedy")
+        results[index] = _greedy_p2(jobs[index][0], last=last[index])
+    return results  # type: ignore[return-value]
 
 
-#: Backends whose Step-1 solve goes through :func:`_solve_p2_batch`: the
-#: structured lockstep loop, or per-block interior-point solves sharing
-#: the whole-batch cache.
-_BATCHABLE_BACKENDS = ("structured", "interior-point")
-
-
-def _batching_enabled(context: RunContext, options: LPHTAOptions, blocks: int) -> bool:
-    """Whether Step 1 should go through the batched mega-solve.
-
-    Reference mode keeps the seed-era sequential path (it is the
-    differential-testing baseline); a single block gains nothing from
-    batching, so the sequential path also keeps its exact telemetry shape
-    for simple runs.
-    """
-    return (
-        blocks >= 2
-        and not context.reference
-        and options.backend in _BATCHABLE_BACKENDS
-    )
-
-
-def _solve_p2_batch(
+def _solve_rung(
     jobs: Sequence[Tuple[ClusterCosts, Mapping[int, float], float]],
-    options: LPHTAOptions,
+    backend: str,
+    dense: bool,
+    relax: bool,
     context: RunContext,
 ) -> List[LPResult]:
-    """Step 1 for many independent clusters: one block-diagonal mega-solve.
+    """One ladder rung over a batch of clusters.
 
-    Only the primary backend's unrelaxed solve is batched — the solve that
-    succeeds on every healthy instance.  Any block the batched solver
-    cannot clear falls back to the sequential :func:`_solve_p2`, which
-    retains the full backend/relaxation ladder, so the returned results
-    match the sequential path block for block (the structured batch
-    iterates each block's exact batch-of-one trajectory, see
-    :func:`repro.lp.structured.solve_structured_batch`; the
-    interior-point backend solves the blocks one by one).
-
-    Cache interaction: a whole-batch fingerprint is probed first
-    (:meth:`~repro.caching.lp_cache.LPSolveCache.lookup_batch`), then
-    per-block keys, so a repeated sweep column skips assembly and solve in
-    one lookup while a partially-overlapping batch still reuses every
-    block it can.
+    The structured and sparse interior-point rungs solve their blocks as
+    one batch through the solve cache (:func:`_solve_batched`); the dense
+    retry and the simplex/scipy rungs go through the backend dispatcher
+    block by block.
     """
     from repro.caching.lp_cache import fingerprint_grouped, fingerprint_problem
 
-    backend = options.backend
-    results: List[Optional[LPResult]] = [None] * len(jobs)
-
-    # Per-block builds feed the ``build`` stage exactly like the
-    # sequential path; everything after them (fingerprints, offset
-    # bookkeeping, block stacking) is batching overhead and is what
-    # ``stage.batch_assembly_s`` measures.
     if backend == "structured":
-        blocks = [
+        grouped = [
             build_p2_structured(
-                costs, caps, cap, relax_deadline_bounds=False
+                costs, caps, cap, relax_deadline_bounds=relax
             ).lp
             for costs, caps, cap in jobs
         ]
-        generic = None
-    else:
-        generic = [
-            build_p2(costs, caps, cap, relax_deadline_bounds=False).lp
-            for costs, caps, cap in jobs
-        ]
-        blocks = None
+        return _solve_batched(
+            grouped, backend, solve_structured_batch, fingerprint_grouped, context
+        )
+    # The dense retry rebuilds with dense assembly: the dense Mehrotra path
+    # is the slower, steadier reference.
+    problems = [
+        build_p2(costs, caps, cap, relax_deadline_bounds=relax, dense=dense).lp
+        for costs, caps, cap in jobs
+    ]
+    if backend == "interior-point" and not dense:
+        return _solve_batched(
+            problems, backend, solve_interior_point_batch, fingerprint_problem,
+            context,
+        )
+    return [lp_solve(problem, backend, context=context) for problem in problems]
 
+
+def _solve_batched(
+    problems: Sequence[Any],
+    backend: str,
+    solve_batch: Callable[[Sequence[Any]], List[LPResult]],
+    fingerprint: Callable[[Any, str], str],
+    context: RunContext,
+) -> List[LPResult]:
+    """Solve one rung's blocks as a batch, through the LP solve cache.
+
+    Cache interaction (off in reference mode, so benchmark baselines stay
+    honest): a whole-batch fingerprint is probed first
+    (:meth:`~repro.caching.lp_cache.LPSolveCache.lookup_batch`), then
+    per-block keys, so a repeated sweep column skips the solve in one
+    lookup while a partially-overlapping batch still reuses every block it
+    can.  A batch of one probes and stores only its block key: a
+    whole-batch key would duplicate it and halve the cache for
+    single-cluster callers.  Only successful results are stored.
+
+    :param problems: the built blocks (the ``build`` stage times them).
+    :param solve_batch: the backend's batch solver: the structured lockstep
+        loop iterates each block's exact batch-of-one trajectory (see
+        :func:`repro.lp.structured.solve_structured_batch`); the generic
+        interior-point backend solves the blocks one by one.
+    :param fingerprint: the backend's cache-key function.
+    """
+    # Everything from here to the solve (fingerprints, lookups, block
+    # stacking) is batching overhead: ``stage.batch_assembly_s``.
     assembly_start = time.perf_counter()
+    results: List[Optional[LPResult]] = [None] * len(problems)
     cache = None if context.reference else context.lp_cache
-    keys: Optional[List[str]] = None
+    keys: List[str] = []
     if cache is not None:
-        if blocks is not None:
-            keys = [fingerprint_grouped(b, backend) for b in blocks]
-        else:
-            assert generic is not None
-            keys = [fingerprint_problem(p, backend) for p in generic]
-        lookup_start = time.perf_counter()
-        whole = cache.lookup_batch(keys)
-        if whole is not None:
-            share = (time.perf_counter() - lookup_start) / len(jobs)
-            for index, hit in enumerate(whole):
-                results[index] = hit
-                # Each block is a cache-served solve, so the per-solve
-                # counters stay comparable with the sequential path.
-                context.telemetry.metrics.incr("lp.cache.hits")
-                context.telemetry.record_solve(
-                    wall_time_s=share, iterations=0, cache_hit=True
-                )
-            return list(whole)
+        keys = [fingerprint(problem, backend) for problem in problems]
+        if len(keys) > 1:
+            lookup_start = time.perf_counter()
+            whole = cache.lookup_batch(keys)
+            if whole is not None:
+                share = (time.perf_counter() - lookup_start) / len(keys)
+                for _ in whole:
+                    # Each block is a cache-served solve, so the per-solve
+                    # counters stay comparable with a fresh solve.
+                    context.telemetry.metrics.incr("lp.cache.hits")
+                    context.telemetry.record_solve(
+                        wall_time_s=share, iterations=0, cache_hit=True
+                    )
+                return whole
         for index, key in enumerate(keys):
             lookup_start = time.perf_counter()
             hit = cache.lookup(key)
@@ -422,18 +394,10 @@ def _solve_p2_batch(
 
     pending = [index for index, result in enumerate(results) if result is None]
     if pending:
-        if blocks is not None:
-            batch_input = [blocks[index] for index in pending]
-        else:
-            assert generic is not None
-            batch_input = [generic[index] for index in pending]
         assembly_s = time.perf_counter() - assembly_start
         with span("solve", context=context, backend=backend):
             start = time.perf_counter()
-            if blocks is not None:
-                solved = solve_structured_batch(batch_input)
-            else:
-                solved = solve_interior_point_batch(batch_input)
+            solved = solve_batch([problems[index] for index in pending])
             wall = time.perf_counter() - start
         context.telemetry.record_batch(
             blocks=len(pending),
@@ -443,33 +407,19 @@ def _solve_p2_batch(
         )
         for index, result in zip(pending, solved):
             results[index] = result
-    if cache is not None and keys is not None:
-        if all(r is not None and r.status.ok for r in results):
+    done: List[LPResult] = results  # type: ignore[assignment]
+    if cache is not None:
+        if len(keys) > 1 and all(result.status.ok for result in done):
             # Store the whole column (per-block hits re-inserted unchanged)
             # so an identical batch later hits in one probe — including
             # when this batch itself was assembled purely from per-block
             # subset hits.
-            cache.insert_batch(keys, results)  # type: ignore[arg-type]
+            cache.insert_batch(keys, done)
         else:
             for index in pending:
-                result = results[index]
-                if result is not None and result.status.ok:
-                    cache.insert(keys[index], result)
-
-    out: List[LPResult] = []
-    for job, result in zip(jobs, results):
-        if result is None or not result.status.ok:
-            # Rare: the primary backend failed on this block (or the whole
-            # batch was empty).  Re-run the full sequential ladder, which
-            # also covers the relaxed-bounds retry.
-            costs, caps, cap = job
-            if result is not None:
-                # A block the batched solver actually failed on (not a
-                # mere cache miss) is a ladder descent worth counting.
-                context.telemetry.metrics.incr("lp.fallback.batch-to-sequential")
-            result = _solve_p2(costs, caps, cap, options, context)
-        out.append(result)
-    return out
+                if done[index].status.ok:
+                    cache.insert(keys[index], done[index])
+    return done
 
 
 @dataclass(frozen=True)
@@ -561,9 +511,9 @@ def lp_hta_cluster(
     :param station_id: cluster label for the report.
     :param context: run configuration (perf mode, LP defaults, telemetry);
         defaults to the active context.
-    :param lp_result: optional precomputed Step-1 solution (from the
-        batched mega-solve, :func:`_solve_p2_batch`); when given, Step 1
-        is skipped and Steps 2–6 run on it unchanged.
+    :param lp_result: optional precomputed Step-1 solution (from a
+        batched :func:`_solve_p2_ladder`); when given, Step 1 is skipped
+        and Steps 2–6 run on it unchanged.
     :returns: per-row decisions plus the cluster report.
     """
     context = context if context is not None else current_context()
@@ -581,7 +531,9 @@ def lp_hta_cluster(
 
     # Steps 1–2: solve P2 and reshape into X.
     if lp_result is None:
-        lp_result = _solve_p2(costs, device_caps, station_cap, options, context)
+        lp_result = _solve_p2_ladder(
+            [(costs, device_caps, station_cap)], options, context
+        )[0]
     x_fractional = reshape_solution(lp_result.require_ok(), n)
 
     # Step 3: round.
@@ -731,36 +683,7 @@ def lp_hta(
     :param context: run configuration (perf mode, LP defaults, telemetry);
         defaults to the active context.
     """
-    context = context if context is not None else current_context()
-    if options is None:
-        options = _options_from_context(context)
-    costs = cluster_costs(system, tasks)
-    slices = _cluster_slices(system, tasks, costs)
-
-    lp_results: Optional[List[LPResult]] = None
-    if _batching_enabled(context, options, len(slices)):
-        lp_results = _solve_p2_batch(
-            [(s.costs, s.device_caps, s.station_cap) for s in slices],
-            options,
-            context,
-        )
-
-    decisions: List[Subsystem] = [Subsystem.CANCELLED] * len(tasks)
-    reports: List[ClusterReport] = []
-    for index, cluster in enumerate(slices):
-        sub_decisions, report = lp_hta_cluster(
-            cluster.costs, cluster.device_caps, cluster.station_cap, options,
-            station_id=cluster.station_id, context=context,
-            lp_result=None if lp_results is None else lp_results[index],
-        )
-        for local_row, decision in zip(cluster.rows, sub_decisions):
-            decisions[local_row] = decision
-        reports.append(report)
-
-    return HTAReport(
-        assignment=Assignment(costs, decisions),
-        clusters=tuple(reports),
-    )
+    return lp_hta_batch([(system, tasks)], options, context)[0]
 
 
 def lp_hta_batch(
@@ -771,12 +694,12 @@ def lp_hta_batch(
     """Run LP-HTA over many (system, tasks) inputs with one mega-solve.
 
     Every cluster of every input is an independent P2 block, so the whole
-    job list pools into a single block-diagonal Step-1 solve — this is the
-    batch entry point the sweep engine and the DTA candidate loop use to
-    amortise per-solve overhead across a column of cells.  Results are
-    identical to ``[lp_hta(s, t, ...) for s, t in jobs]`` block for block;
-    when batching is off (reference mode, non-IPM backend, or fewer than
-    two blocks) it literally runs that loop.
+    job list pools into one Step-1 call (:func:`_solve_p2_ladder`) whose
+    first rung is a single block-diagonal mega-solve — this is the batch
+    entry point the sweep engine and the DTA candidate loop use to
+    amortise per-solve overhead across a column of cells, and
+    :func:`lp_hta` is a batch of one.  Results are identical to
+    ``[lp_hta(s, t, ...) for s, t in jobs]`` block for block.
 
     :param jobs: (system, tasks) pairs, each priced and clustered exactly
         as :func:`lp_hta` would.
@@ -787,16 +710,12 @@ def lp_hta_batch(
     if options is None:
         options = _options_from_context(context)
     prepared = []
-    total_blocks = 0
     for system, tasks in jobs:
         costs = cluster_costs(system, tasks)
-        slices = _cluster_slices(system, tasks, costs)
-        prepared.append((tasks, costs, slices))
-        total_blocks += len(slices)
+        prepared.append((tasks, costs, _cluster_slices(system, tasks, costs)))
 
-    lp_results: Optional[List[LPResult]] = None
-    if _batching_enabled(context, options, total_blocks):
-        lp_results = _solve_p2_batch(
+    lp_results = iter(
+        _solve_p2_ladder(
             [
                 (s.costs, s.device_caps, s.station_cap)
                 for _, _, slices in prepared
@@ -805,9 +724,9 @@ def lp_hta_batch(
             options,
             context,
         )
+    )
 
     out: List[HTAReport] = []
-    cursor = 0
     for tasks, costs, slices in prepared:
         decisions: List[Subsystem] = [Subsystem.CANCELLED] * len(tasks)
         reports: List[ClusterReport] = []
@@ -815,9 +734,8 @@ def lp_hta_batch(
             sub_decisions, report = lp_hta_cluster(
                 cluster.costs, cluster.device_caps, cluster.station_cap,
                 options, station_id=cluster.station_id, context=context,
-                lp_result=None if lp_results is None else lp_results[cursor],
+                lp_result=next(lp_results),
             )
-            cursor += 1
             for local_row, decision in zip(cluster.rows, sub_decisions):
                 decisions[local_row] = decision
             reports.append(report)

@@ -40,11 +40,9 @@ from repro.core.hta import (
     ClusterReport,
     HTAReport,
     LPHTAOptions,
-    _batching_enabled,
     _cluster_slices,
     _options_from_context,
-    _solve_p2,
-    _solve_p2_batch,
+    _solve_p2_ladder,
     lp_hta_batch,
     lp_hta_cluster,
 )
@@ -295,12 +293,7 @@ def lp_hta_sharded(
                     (priced, cluster_slice.device_caps, cluster_slice.station_cap)
                 )
                 meta.append((view, cluster_slice, priced))
-        if _batching_enabled(context, options, len(jobs)):
-            results = _solve_p2_batch(jobs, options, context)
-        else:
-            results = [
-                _solve_p2(p, caps, cap, options, context) for p, caps, cap in jobs
-            ]
+        results = _solve_p2_ladder(jobs, options, context)
         telemetry.metrics.incr("shard.solves", len(prepared))
 
         objective = 0.0

@@ -295,8 +295,7 @@ def evaluate_plans(
     instances, so the whole candidate list clears in one block-diagonal
     Step-1 solve (:func:`repro.core.hta.lp_hta_batch`) instead of a Python
     loop of :func:`evaluate_plan` calls.  Results are identical plan for
-    plan; when batching is disabled the underlying call degenerates to the
-    sequential loop.
+    plan.
 
     :param jobs: (system, plan, catalog) triples, each priced exactly as
         :func:`evaluate_plan` would.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.context import RunContext, current_context
+from repro.context import FALLBACK_LADDER, RunContext, current_context
 from repro.lp.interior_point import IPMOptions, solve_interior_point
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
@@ -19,11 +19,6 @@ from repro.lp.simplex import SimplexOptions, solve_simplex
 from repro.obs.tracer import span
 
 __all__ = ["FALLBACK_LADDER", "available_backends", "solve", "solve_with_fallback"]
-
-#: Default degradation order for :func:`solve_with_fallback`: our IPM
-#: first, the from-scratch simplex as the numerically independent retry,
-#: scipy/HiGHS as the external last resort.
-FALLBACK_LADDER: Tuple[str, ...] = ("interior-point", "simplex", "scipy")
 
 
 def _solve_scipy(problem: LinearProgram) -> LPResult:

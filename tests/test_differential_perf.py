@@ -262,18 +262,25 @@ class TestBatchedSweepMatchesReference:
 
     def test_figure_diff_batched_vs_sequential_vs_reference(self):
         batched_ctx = RunContext()
-        sequential_ctx = RunContext()
+        alone_ctx = RunContext()
         reference_ctx = RunContext(reference=True)
         batched = _mini_figure(batched_ctx)
-        with mock.patch.object(hta, "_batching_enabled", return_value=False):
-            sequential = _mini_figure(sequential_ctx)
+        ladder = hta._solve_p2_ladder
+        with mock.patch.object(
+            hta, "_solve_p2_ladder",
+            lambda jobs, options, context: [
+                ladder([job], options, context)[0] for job in jobs
+            ],
+        ):
+            alone = _mini_figure(alone_ctx)
         reference = _mini_figure(reference_ctx)
-        # The batched path actually engaged, and neither control did.
-        assert batched_ctx.telemetry.batch_solves > 0
-        assert sequential_ctx.telemetry.batch_solves == 0
-        assert reference_ctx.telemetry.batch_solves == 0
+        # The batched run pooled blocks; the sequential control solved each
+        # cluster alone, as a batch of one.
+        batched_t, alone_t = batched_ctx.telemetry, alone_ctx.telemetry
+        assert batched_t.batched_blocks > batched_t.batch_solves
+        assert alone_t.batched_blocks == alone_t.batch_solves > 0
         # Cell-for-cell identical AlgorithmResults across all three modes.
-        assert batched == sequential
+        assert batched == alone
         assert batched == reference
 
 

@@ -6,11 +6,11 @@ solved alone (:func:`solve_structured` is a batch of one): elementwise work
 runs on the concatenated state, every reduction and factorisation runs on a
 block's contiguous slice, and converged blocks are frozen while stragglers
 continue.  These tests pin that contract — same objectives (to 1e-9 and
-bitwise), same iteration counts, same ``lp_hta`` assignments with batching
-on or off — over ragged batches, batches of one, and batches whose blocks
-converge at very different iterations.  Against the frozen seed solver the
-comparison is by tolerance: its ``x`` differs from the optimised loop's in
-the last bits.
+bitwise), same iteration counts, same ``lp_hta`` assignments whether the
+clusters share one batch or each is solved alone — over ragged batches,
+batches of one, and batches whose blocks converge at very different
+iterations.  Against the frozen seed solver the comparison is by
+tolerance: its ``x`` differs from the optimised loop's in the last bits.
 """
 
 from unittest import mock
@@ -190,8 +190,14 @@ def small_profile(draw):
 
 
 def _sequential_step1():
-    """Route LP-HTA's Step 1 through the sequential per-cluster ladder."""
-    return mock.patch.object(hta, "_batching_enabled", return_value=False)
+    """Run LP-HTA's Step 1 on each cluster alone, as a batch of one."""
+    ladder = hta._solve_p2_ladder
+    return mock.patch.object(
+        hta, "_solve_p2_ladder",
+        lambda jobs, options, context: [
+            ladder([job], options, context)[0] for job in jobs
+        ],
+    )
 
 
 def _reports_identical(a, b):
@@ -200,7 +206,7 @@ def _reports_identical(a, b):
 
 
 class TestLPHTABatched:
-    """lp_hta with batching on emits exactly the sequential output."""
+    """lp_hta's pooled Step 1 emits exactly each cluster solved alone."""
 
     @settings(max_examples=10, deadline=None)
     @given(small_profile())
@@ -213,22 +219,16 @@ class TestLPHTABatched:
         with use_context(RunContext()) as sequential_ctx, _sequential_step1():
             sequential = lp_hta(scenario.system, tasks, context=sequential_ctx)
         _reports_identical(batched, sequential)
-        assert sequential_ctx.telemetry.batch_solves == 0
-        if len(batched.clusters) >= 2:
-            assert batched_ctx.telemetry.batch_solves == 1
-            assert (
-                batched_ctx.telemetry.batched_blocks == len(batched.clusters)
-            )
-        # Batched or not, the same per-block iterations are observed —
-        # unless a block failed its primary solve: the batch path then
-        # falls back to the full sequential ladder, whose first rung
-        # repeats the failed solve, so its iterations are counted twice.
-        # Equal solve counts mean no fallback fired.
-        if batched_ctx.telemetry.solves == sequential_ctx.telemetry.solves:
-            assert (
-                batched_ctx.telemetry.lp_iterations
-                == sequential_ctx.telemetry.lp_iterations
-            )
+        # The first rung is one mega-solve over every cluster, and each
+        # block meets each rung once, batched or alone: the same solves
+        # with the same per-block iterations.
+        assert batched_ctx.telemetry.batched_blocks >= len(batched.clusters)
+        assert sequential_ctx.telemetry.batch_solves >= len(batched.clusters)
+        assert batched_ctx.telemetry.solves == sequential_ctx.telemetry.solves
+        assert (
+            batched_ctx.telemetry.lp_iterations
+            == sequential_ctx.telemetry.lp_iterations
+        )
 
     def test_interior_point_backend_batches_identically(self):
         scenario = generate_scenario(
@@ -245,7 +245,7 @@ class TestLPHTABatched:
         _reports_identical(batched, sequential)
         assert batched_ctx.telemetry.batch_solves == 1
 
-    def test_single_cluster_stays_sequential(self):
+    def test_single_cluster_is_one_block(self):
         scenario = generate_scenario(
             PAPER_DEFAULTS.with_updates(
                 num_stations=1, num_devices=4, num_tasks=10
@@ -255,8 +255,12 @@ class TestLPHTABatched:
         context = RunContext()
         report = lp_hta(scenario.system, list(scenario.tasks), context=context)
         assert len(report.clusters) == 1
-        assert context.telemetry.batch_solves == 0  # blocks >= 2 gate
+        assert context.telemetry.batch_solves == 1
+        assert context.telemetry.batched_blocks == 1
         assert context.telemetry.solves == 1
+        # A batch of one probes only its block key, never a whole-batch key.
+        assert context.telemetry.batch_cache_lookups == 0
+        assert context.telemetry.cache_lookups == 1
 
 
 class TestLPHTABatchEntryPoint:
@@ -286,12 +290,30 @@ class TestLPHTABatchEntryPoint:
         assert batched_ctx.telemetry.batch_solves == 1
         assert batched_ctx.telemetry.batched_blocks == total_clusters
 
-    def test_reference_context_never_batches(self):
-        jobs = self._jobs()[:1]
-        context = RunContext(reference=True)
-        reports = lp_hta_batch(jobs, context=context)
-        assert len(reports) == 1
-        assert context.telemetry.batch_solves == 0
+    def test_reference_context_runs_the_seed_solver(self):
+        jobs = self._jobs()
+        seed_calls = []
+
+        def counting(lp, options):
+            seed_calls.append(lp)
+            return solve_structured_reference(lp, options)
+
+        with use_context(RunContext(reference=True)) as context, mock.patch(
+            "repro.lp.structured.solve_structured_reference", counting
+        ):
+            reports = lp_hta_batch(jobs, context=context)
+        clusters = sum(len(r.clusters) for r in reports)
+        assert len(seed_calls) == clusters
+        assert context.telemetry.cache_lookups == 0  # reference: uncached
+        # The seed solver's optimum differs in the last bits only.
+        for reference, optimised in zip(reports, lp_hta_batch(jobs)):
+            assert (
+                reference.assignment.decisions
+                == optimised.assignment.decisions
+            )
+            assert reference.lp_objective_j == pytest.approx(
+                optimised.lp_objective_j, rel=1e-9
+            )
 
     def test_repeated_column_is_a_whole_batch_cache_hit(self):
         jobs = self._jobs()

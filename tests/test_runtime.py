@@ -486,6 +486,20 @@ def _rigged_failure(backend):
     )
 
 
+def _rig_batch_solvers(monkeypatch, interior_point=None):
+    """Make LP-HTA's batched rungs (structured, sparse interior-point)
+    fail every block."""
+    monkeypatch.setattr(
+        "repro.core.hta.solve_structured_batch",
+        lambda blocks: [_rigged_failure("structured") for _ in blocks],
+    )
+    monkeypatch.setattr(
+        "repro.core.hta.solve_interior_point_batch",
+        interior_point
+        or (lambda problems: [_rigged_failure("interior-point") for _ in problems]),
+    )
+
+
 class TestFallbackLadder:
     @pytest.fixture
     def lp(self):
@@ -530,13 +544,7 @@ class TestFallbackLadder:
             "repro.core.hta.lp_solve",
             lambda lp, backend, **kwargs: _rigged_failure(backend),
         )
-        monkeypatch.setattr(
-            "repro.core.hta.solve_structured",
-            lambda grouped: _rigged_failure("structured"),
-        )
-        monkeypatch.setattr(
-            "repro.core.hta._batching_enabled", lambda *args: False
-        )
+        _rig_batch_solvers(monkeypatch)
         context = RunContext()
         with use_context(context):
             report = lp_hta(
@@ -564,42 +572,62 @@ class TestFallbackLadder:
                 ipm_inputs.append(sp.issparse(lp.a_eq))
             return _rigged_failure(backend)
 
+        def rigged_batch(problems):
+            return [rigged(problem, "interior-point") for problem in problems]
+
         monkeypatch.setattr("repro.core.hta.lp_solve", rigged)
-        monkeypatch.setattr(
-            "repro.core.hta.solve_structured",
-            lambda grouped: _rigged_failure("structured"),
-        )
-        monkeypatch.setattr(
-            "repro.core.hta._batching_enabled", lambda *args: False
-        )
+        _rig_batch_solvers(monkeypatch, interior_point=rigged_batch)
         context = RunContext(reference=reference)
         with use_context(context):
             report = lp_hta(
                 small_scenario.system, list(small_scenario.tasks),
                 context=context,
             )
-        assert len(ipm_inputs) == per_cluster * len(report.clusters)
-        # Per relaxation level: the sparse attempt, then its dense retry;
-        # reference mode makes one dense attempt.
+        clusters = len(report.clusters)
+        assert len(ipm_inputs) == per_cluster * clusters
+        # Per relaxation level, rung by rung over the clusters: the sparse
+        # attempts, then their dense retries; reference mode makes one
+        # dense attempt.
         per_level = [False] if reference else [True, False]
-        assert ipm_inputs == per_level * (2 * len(report.clusters))
+        assert ipm_inputs == [
+            sparse for sparse in per_level for _ in range(clusters)
+        ] * 2
+
+    def test_primary_listed_again_as_fallback_runs_once(
+        self, small_scenario, monkeypatch
+    ):
+        """An interior-point primary is also the first default fallback: a
+        block that failed it does not meet it again at the same level."""
+        attempts = []
+
+        def rigged(lp, backend, **kwargs):
+            attempts.append(backend)
+            return _rigged_failure(backend)
+
+        monkeypatch.setattr("repro.core.hta.lp_solve", rigged)
+        _rig_batch_solvers(
+            monkeypatch,
+            interior_point=lambda problems: [
+                rigged(problem, "interior-point") for problem in problems
+            ],
+        )
+        context = RunContext(lp_backend="interior-point")
+        with use_context(context):
+            report = lp_hta(
+                small_scenario.system, list(small_scenario.tasks),
+                context=context,
+            )
+        # Per level and cluster: sparse, dense, simplex, scipy.
+        clusters = len(report.clusters)
+        assert attempts.count("interior-point") == 2 * 2 * clusters
+        assert attempts.count("simplex") == 2 * clusters
 
     def test_dense_retry_rescues_a_failed_sparse_solve(
         self, small_scenario, monkeypatch
     ):
-        def sparse_fails(lp, backend, **kwargs):
-            if backend == "interior-point" and sp.issparse(lp.a_eq):
-                return _rigged_failure(backend)
-            return backends_mod.solve(lp, backend, **kwargs)
-
-        monkeypatch.setattr("repro.core.hta.lp_solve", sparse_fails)
-        monkeypatch.setattr(
-            "repro.core.hta.solve_structured",
-            lambda grouped: _rigged_failure("structured"),
-        )
-        monkeypatch.setattr(
-            "repro.core.hta._batching_enabled", lambda *args: False
-        )
+        # The sparse interior-point rung is a batch; its dense retry goes
+        # through the (unrigged) backend dispatcher.
+        _rig_batch_solvers(monkeypatch)
         context = RunContext()
         with use_context(context):
             report = lp_hta(

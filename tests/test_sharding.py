@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.context import RunContext, use_context
-from repro.core import hta
+from repro.core import hta, sharded as sharded_module
 from repro.core.assignment import Subsystem
 from repro.core.costs import cluster_costs
 from repro.core.hta import lp_hta
@@ -124,12 +124,19 @@ class TestShardedSystem:
 
 class TestDifferentialUncapped:
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 4])
-    @pytest.mark.parametrize("batched", [True, False])
+    @pytest.mark.parametrize("alone", [False, True])
     def test_bit_identical_to_monolithic(
-        self, scenario, monolithic, num_shards, batched, monkeypatch
+        self, scenario, monolithic, num_shards, alone, monkeypatch
     ):
-        if not batched:
-            monkeypatch.setattr(hta, "_batching_enabled", lambda *args: False)
+        if alone:
+            # Each cluster's Step 1 as its own batch of one.
+            monkeypatch.setattr(
+                sharded_module, "_solve_p2_ladder",
+                lambda jobs, options, context: [
+                    hta._solve_p2_ladder([job], options, context)[0]
+                    for job in jobs
+                ],
+            )
         with use_context(RunContext()):
             report = lp_hta_sharded(
                 scenario.system,
