@@ -58,6 +58,22 @@ def _decode_uniform_words(raw: np.ndarray) -> List[float]:
     return ((raw >> np.uint64(11)) * _U53).tolist()
 
 
+def _nth_outside(members: Sequence[int], idx: int) -> int:
+    """The ``idx``-th device id, ascending, that is not in ``members``.
+
+    Device ids are ``0..N-1`` and ``members`` (one cluster's ids) is
+    ascending, so stepping ``idx`` past every member at or below the
+    running value lands on the answer in O(|cluster|), without listing
+    the devices outside the cluster.
+    """
+    device = idx
+    for member in members:
+        if member > device:
+            break
+        device += 1
+    return device
+
+
 def generate_system_arrays(
     profile: WorkloadProfile,
     seed: int,
@@ -182,7 +198,6 @@ def generate_holistic_tasks(
     for cluster_members in members.values():
         for position, d in enumerate(cluster_members):
             rank[d] = position
-    cross_lists: Dict[int, List[int]] = {}
 
     min_frac = profile.min_input_fraction
     max_bytes = profile.max_input_bytes
@@ -231,13 +246,7 @@ def generate_holistic_tasks(
                     if fallback:
                         source = 0 if owner_id != 0 else 1
                     elif cross:
-                        chosen = cross_lists.get(owner_cluster)
-                        if chosen is None:
-                            chosen = [
-                                d for d in device_ids if clusters[d] != owner_cluster
-                            ]
-                            cross_lists[owner_cluster] = chosen
-                        source = chosen[0]
+                        source = _nth_outside(cluster_members, 0)
                     else:
                         source = cluster_members[0 if owner_rank != 0 else 1]
                 else:
@@ -257,13 +266,7 @@ def generate_holistic_tasks(
                     if fallback:
                         source = idx if idx < owner_id else idx + 1
                     elif cross:
-                        chosen = cross_lists.get(owner_cluster)
-                        if chosen is None:
-                            chosen = [
-                                d for d in device_ids if clusters[d] != owner_cluster
-                            ]
-                            cross_lists[owner_cluster] = chosen
-                        source = chosen[idx]
+                        source = _nth_outside(cluster_members, idx)
                     else:
                         source = cluster_members[
                             idx if idx < owner_rank else idx + 1

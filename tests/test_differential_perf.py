@@ -338,6 +338,32 @@ class TestArrayGeneratorMatchesReference:
                     )
                 assert array == pooled == reference
 
+    def test_cross_cluster_branches_identical_to_reference(self):
+        # Devices attach to stations round-robin.  Three devices on two
+        # stations put all devices but one in cluster 0, so its cross draws
+        # take the one-candidate branch and cluster 1's same-cluster draws
+        # fall back; one station per device makes every cluster a
+        # singleton.
+        profiles = [
+            PAPER_DEFAULTS.with_updates(
+                num_tasks=40, num_devices=3, num_stations=2,
+                external_cross_cluster_prob=0.5,
+            ),
+            PAPER_DEFAULTS.with_updates(
+                num_tasks=40, num_devices=5, num_stations=5,
+                external_cross_cluster_prob=0.5,
+            ),
+        ]
+        for profile in profiles:
+            for seed in (0, 1, 2):
+                with use_context(RunContext()):
+                    array = _scenario_fingerprint(generate_scenario(profile, seed=seed))
+                with use_context(RunContext(reference=True)):
+                    reference = _scenario_fingerprint(
+                        generate_scenario(profile, seed=seed)
+                    )
+                assert array == reference
+
     def test_divisible_scenarios_identical_to_reference(self):
         # Divisible generation stays on the object path but memoises the
         # sorted catalog and the per-item owner index; draws and every
@@ -456,3 +482,41 @@ class TestVectorisedKernelsPreserveFigures:
         parallel._SCENARIO_MEMO.clear()
         reference = self._holistic_mini_figure(RunContext(reference=True))
         assert default == reference
+
+
+@st.composite
+def cluster_layout(draw):
+    """A device -> cluster map over ids ``0..N-1``: random, all singletons,
+    one cluster holding every device but one, or a single cluster."""
+    num_devices = draw(st.integers(min_value=1, max_value=40))
+    shape = draw(st.sampled_from(["random", "singletons", "all_but_one", "one"]))
+    if shape == "singletons":
+        return list(range(num_devices))
+    if shape == "one":
+        return [0] * num_devices
+    if shape == "all_but_one":
+        odd = draw(st.integers(min_value=0, max_value=num_devices - 1))
+        return [1 if d == odd else 0 for d in range(num_devices)]
+    num_clusters = draw(st.integers(min_value=1, max_value=num_devices))
+    return draw(
+        st.lists(
+            st.integers(min_value=0, max_value=num_clusters - 1),
+            min_size=num_devices, max_size=num_devices,
+        )
+    )
+
+
+class TestCrossClusterWalk:
+    """The array generator picks a cross-cluster source by walking the
+    owner's ascending member list instead of listing the outside devices."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cluster_layout())
+    def test_walk_equals_listing_the_outside_devices(self, clusters):
+        from repro.workload.array_gen import _nth_outside
+
+        for cluster in set(clusters):
+            members = [d for d, c in enumerate(clusters) if c == cluster]
+            outside = [d for d, c in enumerate(clusters) if c != cluster]
+            for idx, expected in enumerate(outside):
+                assert _nth_outside(members, idx) == expected

@@ -3,12 +3,13 @@
 The lockstep structured loop (:func:`solve_structured_batch`) advances every
 pooled block through the exact floating-point trajectory of that block
 solved alone (:func:`solve_structured` is a batch of one): elementwise work
-runs on the concatenated state, every reduction and factorisation runs on a
-block's contiguous slice, and converged blocks are frozen while stragglers
+runs on the concatenated state of the active blocks, every sum and
+factorisation sees exactly a block's own slice, and blocks that converge or
+leave the positive orthant are compacted out of the state while stragglers
 continue.  These tests pin that contract — same objectives (to 1e-9 and
 bitwise), same iteration counts, same ``lp_hta`` assignments whether the
 clusters share one batch or each is solved alone — over ragged batches,
-batches of one, and batches whose blocks converge at very different
+batches of one, and batches whose blocks leave at very different
 iterations.  Against the frozen seed solver the comparison is by
 tolerance: its ``x`` differs from the optimised loop's in the last bits.
 """
@@ -22,9 +23,11 @@ from hypothesis import given, settings, strategies as st
 from repro.context import RunContext, use_context
 from repro.core import hta
 from repro.core.hta import LPHTAOptions, lp_hta, lp_hta_batch
+from repro.core.lp_builder import build_p2_structured
 from repro.lp import LinearProgram
 from repro.lp.interior_point import solve_interior_point, solve_interior_point_batch
 from repro.lp._structured_reference import solve_structured_reference
+from repro.lp.result import LPStatus
 from repro.lp.structured import (
     GroupedBoundedLP,
     StructuredIPMOptions,
@@ -32,6 +35,7 @@ from repro.lp.structured import (
     solve_structured_batch,
 )
 from repro.workload import PAPER_DEFAULTS, generate_scenario
+from tests.test_ladder_fixtures import BLOCKS as LADDER_BLOCKS, load_block
 
 
 def _random_grouped(rng: np.random.Generator, num_groups: int) -> GroupedBoundedLP:
@@ -85,7 +89,10 @@ def _assert_block_equal(batched, sequential):
     """One block of a batch solve must replay its sequential solve exactly."""
     assert batched.status is sequential.status
     assert batched.iterations == sequential.iterations
-    assert batched.objective == pytest.approx(sequential.objective, abs=1e-9)
+    assert batched.objective == pytest.approx(
+        sequential.objective, abs=1e-9, nan_ok=True
+    )
+    assert batched.message == sequential.message
     if sequential.x is None:
         assert batched.x is None
     else:
@@ -159,6 +166,63 @@ class TestStructuredBatch:
         for expected, b, s in zip(seed, batched, single):
             _assert_block_equal(b, expected)
             _assert_block_equal(s, expected)
+
+
+class TestCompactedFreezePaths:
+    """Blocks leave the lockstep state at many different iterations.
+
+    A mixed batch: the two committed ladder blocks (200-iteration
+    stragglers under the default options), 60 random blocks, and a K = 0
+    block.  Under the largest step fraction below 1 most blocks step onto
+    the boundary and exit on the orthant check, one by one, while others
+    run on; under the default options blocks converge one by one around
+    the stragglers.  Either way each exit compacts the state, and every
+    block must still replay its solve alone, in either batch order.
+    """
+
+    @staticmethod
+    def _mixed_batch():
+        rng = np.random.default_rng(11)
+        ladder = [
+            build_p2_structured(*load_block(name)).lp for name in LADDER_BLOCKS
+        ]
+        uncoupled = GroupedBoundedLP(
+            c=np.array([3.0, 1.0, 2.0]),
+            group_index=np.array([0, 0, 1]),
+            group_rhs=np.array([1.0, 1.0]),
+            upper=np.array([1.0, np.inf, 1.0]),
+        )
+        randoms = [_random_grouped(rng, int(g)) for g in rng.integers(1, 25, 60)]
+        return ladder + [uncoupled] + randoms
+
+    @pytest.mark.parametrize(
+        "step_fraction", [StructuredIPMOptions().step_fraction, np.nextafter(1.0, 0.0)]
+    )
+    def test_mixed_batch_block_for_block_in_both_orders(self, step_fraction):
+        options = StructuredIPMOptions(step_fraction=float(step_fraction))
+        blocks = self._mixed_batch()
+        alone = [solve_structured(block, options) for block in blocks]
+        for order in (blocks, blocks[::-1]):
+            expected = alone if order is blocks else alone[::-1]
+            for b, s in zip(solve_structured_batch(order, options), expected):
+                _assert_block_equal(b, s)
+        statuses = [result.status for result in alone]
+        exits = {result.iterations for result in alone}
+        assert len(exits) > 3  # blocks leave at several iterations
+        if step_fraction == StructuredIPMOptions().step_fraction:
+            assert statuses[:2] == [LPStatus.ITERATION_LIMIT] * 2
+            assert statuses.count(LPStatus.OPTIMAL) == len(blocks) - 2
+        else:
+            left = [
+                result for result in alone
+                if result.status is LPStatus.NUMERICAL_ERROR
+            ]
+            assert left
+            assert all(
+                result.message == "iterate left the positive orthant"
+                for result in left
+            )
+            assert len(left) < len(blocks)
 
 
 class TestInteriorPointBatch:
