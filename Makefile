@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test bench bench-micro bench-scale figures experiments clean
+.PHONY: install test bench figures experiments clean
 
 install:
 	pip install -e .[dev]
@@ -8,19 +8,10 @@ install:
 test:
 	pytest tests/
 
-# Pipeline benchmark: seed-equivalent reference vs optimised path,
-# writes BENCH_sweep.json at the repo root.
+# Performance benchmark: the four bench/ workloads, timed and
+# digest-checked (see bench/README.md).
 bench:
-	PYTHONPATH=src python scripts/bench_perf.py
-
-# Microbenchmarks (pytest-benchmark suite).
-bench-micro:
-	pytest benchmarks/ --benchmark-only
-
-# City-scale streaming benchmark: shard count vs wall clock and peak
-# memory, writes BENCH_scale.json at the repo root.
-bench-scale:
-	PYTHONPATH=src python scripts/bench_scale.py
+	python3 bench/run.py
 
 figures:
 	python -m repro all-figures --seeds 0
@@ -29,5 +20,5 @@ experiments:
 	python scripts/collect_experiments.py
 
 clean:
-	rm -rf build dist *.egg-info .pytest_cache .benchmarks
+	rm -rf build dist *.egg-info .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

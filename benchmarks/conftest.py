@@ -1,10 +1,9 @@
-"""Shared helpers for the figure benchmarks.
+"""Shared helpers for the figure-shape tests.
 
-Every benchmark regenerates one paper figure/table (rounds=1: a figure sweep
-is seconds of work, not microseconds), prints the series the paper plots,
-and asserts the *shape* the paper reports — who wins, in which direction the
-curves move.  Absolute values depend on constants the paper does not publish
-(see DESIGN.md / EXPERIMENTS.md).
+Every test regenerates one paper figure/table once, prints the series the
+paper plots, and asserts the *shape* the paper reports — who wins, in which
+direction the curves move.  Absolute values depend on constants the paper
+does not publish (see DESIGN.md / EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -13,15 +12,9 @@ from typing import Sequence
 
 from repro.experiments.series import SeriesData
 
-#: Seeds used by the benches: averaging over two seeds keeps shapes stable
+#: Seeds used by the shape tests: averaging over two seeds keeps shapes stable
 #: while staying fast enough to sweep nine figures.
 BENCH_SEEDS: Sequence[int] = (0, 1)
-
-
-def run_once(benchmark, producer, *args, **kwargs):
-    """Run a figure producer exactly once under the benchmark clock."""
-    return benchmark.pedantic(producer, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1, warmup_rounds=0)
 
 
 def show(data: SeriesData) -> None:

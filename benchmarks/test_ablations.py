@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation tests for the design choices DESIGN.md calls out.
 
 Not paper figures — these quantify our implementation decisions:
 
@@ -26,13 +26,10 @@ def scenario():
     return generate_scenario(PAPER_DEFAULTS.with_updates(num_tasks=250), seed=0)
 
 
-def test_lp_backend_structured_vs_dense(benchmark, scenario):
+def test_lp_backend_structured_vs_dense(scenario):
     """The structured IPM must match the generic backends' energy."""
     tasks = list(scenario.tasks)
-    structured = benchmark.pedantic(
-        lambda: lp_hta(scenario.system, tasks, LPHTAOptions(backend="structured")),
-        rounds=3, iterations=1, warmup_rounds=0,
-    )
+    structured = lp_hta(scenario.system, tasks, LPHTAOptions(backend="structured"))
     dense = lp_hta(scenario.system, tasks, LPHTAOptions(backend="interior-point"))
     scipy_ref = lp_hta(scenario.system, tasks, LPHTAOptions(backend="scipy"))
     e = structured.assignment.total_energy_j()
@@ -42,13 +39,10 @@ def test_lp_backend_structured_vs_dense(benchmark, scenario):
     assert e == pytest.approx(scipy_ref.assignment.total_energy_j(), rel=1e-3)
 
 
-def test_rounding_rule(benchmark, scenario):
+def test_rounding_rule(scenario):
     """Argmax rounding (Step 3) beats or matches randomized rounding."""
     tasks = list(scenario.tasks)
-    argmax = benchmark.pedantic(
-        lambda: lp_hta(scenario.system, tasks, LPHTAOptions(rounding="argmax")),
-        rounds=1, iterations=1, warmup_rounds=0,
-    )
+    argmax = lp_hta(scenario.system, tasks, LPHTAOptions(rounding="argmax"))
     randomized = [
         lp_hta(
             scenario.system, tasks, LPHTAOptions(rounding="randomized", seed=s)
@@ -60,14 +54,11 @@ def test_rounding_rule(benchmark, scenario):
     assert argmax.assignment.total_energy_j() <= np.mean(randomized) * 1.05
 
 
-def test_repair_order(benchmark, scenario):
+def test_repair_order(scenario):
     """Largest-resource-first repair (the paper's rule) vs smallest-first."""
     tasks = list(scenario.tasks)
-    largest = benchmark.pedantic(
-        lambda: lp_hta(
-            scenario.system, tasks, LPHTAOptions(repair_order="largest-first")
-        ),
-        rounds=1, iterations=1, warmup_rounds=0,
+    largest = lp_hta(
+        scenario.system, tasks, LPHTAOptions(repair_order="largest-first")
     )
     smallest = lp_hta(
         scenario.system, tasks, LPHTAOptions(repair_order="smallest-first")
@@ -90,12 +81,10 @@ def test_repair_order(benchmark, scenario):
         assert problems == []
 
 
-def test_hgos_blindness_cost(benchmark, scenario):
+def test_hgos_blindness_cost(scenario):
     """What deadline/data blindness costs HGOS vs a constraint-aware greedy."""
     tasks = list(scenario.tasks)
-    blind = benchmark.pedantic(
-        lambda: hgos(scenario.system, tasks), rounds=1, iterations=1, warmup_rounds=0
-    )
+    blind = hgos(scenario.system, tasks)
     aware = local_first(scenario.system, tasks)
     print(
         f"\nHGOS unsat={blind.unsatisfied_rate():.3f}  "
@@ -104,7 +93,7 @@ def test_hgos_blindness_cost(benchmark, scenario):
     assert blind.unsatisfied_rate() >= aware.unsatisfied_rate() - 1e-9
 
 
-def test_dta_workload_greedy_vs_exact(benchmark):
+def test_dta_workload_greedy_vs_exact():
     """Empirical ratio of the DTA-Workload greedy against the exact min–max."""
     scenario = generate_scenario(
         PAPER_DEFAULTS.with_updates(
@@ -114,10 +103,7 @@ def test_dta_workload_greedy_vs_exact(benchmark):
         seed=0,
     )
     universe = scenario.universe
-    greedy = benchmark.pedantic(
-        lambda: dta_workload(universe, scenario.ownership),
-        rounds=1, iterations=1, warmup_rounds=0,
-    )
+    greedy = dta_workload(universe, scenario.ownership)
     exact = exact_min_max_coverage(universe, scenario.ownership)
     ratio = greedy.max_set_size() / max(exact.max_set_size(), 1)
     print(f"\ngreedy max|C|={greedy.max_set_size()} exact={exact.max_set_size()} "
@@ -128,15 +114,12 @@ def test_dta_workload_greedy_vs_exact(benchmark):
     assert ratio <= 4.0
 
 
-def test_contention_overhead(benchmark, scenario):
+def test_contention_overhead(scenario):
     """How much FIFO queueing inflates the analytic makespan."""
     tasks = list(scenario.tasks)
     report = lp_hta(scenario.system, tasks)
-    contended = benchmark.pedantic(
-        lambda: replay_assignment(scenario.system, tasks, report.assignment,
-                                  contention=True),
-        rounds=1, iterations=1, warmup_rounds=0,
-    )
+    contended = replay_assignment(scenario.system, tasks, report.assignment,
+                                  contention=True)
     dedicated = replay_assignment(scenario.system, tasks, report.assignment)
     overhead = contended.makespan_s / dedicated.makespan_s
     print(f"\nmakespan dedicated={dedicated.makespan_s:.3f}s "

@@ -1,4 +1,4 @@
-"""Benches for the extension modules (beyond the paper's figures).
+"""Shape tests for the extension modules (beyond the paper's figures).
 
 Each quantifies one extension against the paper's core machinery:
 
@@ -27,11 +27,8 @@ def scenario():
     return generate_scenario(PAPER_DEFAULTS.with_updates(num_tasks=150), seed=4)
 
 
-def test_game_price_of_anarchy(benchmark, scenario):
-    game = benchmark.pedantic(
-        lambda: best_response_offloading(scenario.system, list(scenario.tasks)),
-        rounds=1, iterations=1, warmup_rounds=0,
-    )
+def test_game_price_of_anarchy(scenario):
+    game = best_response_offloading(scenario.system, list(scenario.tasks))
     lp = lp_hta(scenario.system, list(scenario.tasks))
     assert game.converged
     cancelled = lp.assignment.subsystem_counts()[Subsystem.CANCELLED]
@@ -46,11 +43,8 @@ def test_game_price_of_anarchy(benchmark, scenario):
     assert game.assignment.total_energy_j() < cloud.total_energy_j()
 
 
-def test_partial_offloading_saving(benchmark, scenario):
-    split = benchmark.pedantic(
-        lambda: partial_offloading(scenario.system, list(scenario.tasks)),
-        rounds=1, iterations=1, warmup_rounds=0,
-    )
+def test_partial_offloading_saving(scenario):
+    split = partial_offloading(scenario.system, list(scenario.tasks))
     lp = lp_hta(scenario.system, list(scenario.tasks))
     binary = lp.assignment.total_energy_j()
     print(
@@ -61,7 +55,7 @@ def test_partial_offloading_saving(benchmark, scenario):
         assert split.total_energy_j <= binary * 1.001
 
 
-def test_cache_capacity_sweep(benchmark):
+def test_cache_capacity_sweep():
     system = generate_system(PAPER_DEFAULTS, seed=0)
     catalog = QueryCatalog.generate(system, PAPER_DEFAULTS, num_queries=80, seed=1)
     stream = zipf_query_stream(system, catalog, length=400, exponent=1.3, seed=2)
@@ -72,7 +66,7 @@ def test_cache_capacity_sweep(benchmark):
             for cap in (1, 5, 20, 80)
         ]
 
-    reports = benchmark.pedantic(sweep, rounds=1, iterations=1, warmup_rounds=0)
+    reports = sweep()
     rates = [r.hit_rate for r in reports]
     savings = [r.energy_saving_fraction for r in reports]
     print("\ncapacity (MB) -> hit rate:", [f"{r:.2f}" for r in rates])
@@ -83,7 +77,7 @@ def test_cache_capacity_sweep(benchmark):
     assert savings[-1] > 0.3
 
 
-def test_quasi_static_violation_sweep(benchmark):
+def test_quasi_static_violation_sweep():
     system = generate_system(PAPER_DEFAULTS, seed=0)
     positions = {d: dev.position for d, dev in system.devices.items()}
     mobility = RandomWaypointModel(
@@ -98,18 +92,15 @@ def test_quasi_static_violation_sweep(benchmark):
             for epoch in (30.0, 120.0, 480.0)
         ]
 
-    analyses = benchmark.pedantic(sweep, rounds=1, iterations=1, warmup_rounds=0)
+    analyses = sweep()
     rates = [a.violation_rate for a in analyses]
     print("\nepoch 30/120/480 s violation rates:", [f"{r:.2f}" for r in rates])
     assert rates[0] < rates[1] < rates[2]
     assert rates[0] < 0.5 and rates[2] > 0.8
 
 
-def test_empirical_ratio_study(benchmark):
-    study = benchmark.pedantic(
-        lambda: run_ratio_study(seeds=tuple(range(12))),
-        rounds=1, iterations=1, warmup_rounds=0,
-    )
+def test_empirical_ratio_study():
+    study = run_ratio_study(seeds=tuple(range(12)))
     print(f"\nempirical ratio: {study.summary.format()}; "
           f"worst {study.summary.maximum:.3f}; skipped {study.skipped}")
     assert study.bound_violations == 0
@@ -118,7 +109,7 @@ def test_empirical_ratio_study(benchmark):
     assert study.summary.mean < 1.5
 
 
-def test_congestion_fixed_point(benchmark, scenario):
+def test_congestion_fixed_point(scenario):
     from repro.congestion import congestion_aware_assignment
     from repro.system.interference import InterferenceChannel
 
@@ -126,11 +117,8 @@ def test_congestion_fixed_point(benchmark, scenario):
         bandwidth_hz=5e6, channel_gain=1e-6, tx_power_w=0.5,
         noise_power_w=1e-9, orthogonality_loss=0.02,
     )
-    result = benchmark.pedantic(
-        lambda: congestion_aware_assignment(
-            scenario.system, list(scenario.tasks), channel
-        ),
-        rounds=1, iterations=1, warmup_rounds=0,
+    result = congestion_aware_assignment(
+        scenario.system, list(scenario.tasks), channel
     )
     print(
         f"\nfixed point in {result.iterations} rounds; "
@@ -144,13 +132,10 @@ def test_congestion_fixed_point(benchmark, scenario):
         assert result.final_energy_j >= result.naive_energy_j - 1e-6
 
 
-def test_lagrangian_vs_lp_hta(benchmark, scenario):
+def test_lagrangian_vs_lp_hta(scenario):
     from repro.core.lagrangian import lagrangian_hta
 
-    lag = benchmark.pedantic(
-        lambda: lagrangian_hta(scenario.system, list(scenario.tasks)),
-        rounds=1, iterations=1, warmup_rounds=0,
-    )
+    lag = lagrangian_hta(scenario.system, list(scenario.tasks))
     lp = lp_hta(scenario.system, list(scenario.tasks))
     print(
         f"\ndual bound {lag.best_dual_j:.1f} J vs E_LP_OPT "
@@ -163,15 +148,12 @@ def test_lagrangian_vs_lp_hta(benchmark, scenario):
     assert lag.best_dual_j <= lp.lp_objective_j * 1.001
 
 
-def test_dvfs_saving(benchmark, scenario):
+def test_dvfs_saving(scenario):
     from repro.dvfs import rescale_assignment
 
     lp = lp_hta(scenario.system, list(scenario.tasks))
-    result = benchmark.pedantic(
-        lambda: rescale_assignment(
-            scenario.system, list(scenario.tasks), lp.assignment
-        ),
-        rounds=1, iterations=1, warmup_rounds=0,
+    result = rescale_assignment(
+        scenario.system, list(scenario.tasks), lp.assignment
     )
     print(
         f"\nDVFS: {result.nominal_energy_j:.1f} J -> "

@@ -5,13 +5,13 @@ point; HGOS is close but above; AllOffload and AllToC are far above, with
 AllToC the worst; all curves grow with the workload.
 """
 
-from conftest import BENCH_SEEDS, assert_dominates, assert_nondecreasing, run_once, show
+from conftest import BENCH_SEEDS, assert_dominates, assert_nondecreasing, show
 
 from repro.experiments.figures import fig2a, fig2b
 
 
-def test_fig2a_energy_vs_tasks(benchmark):
-    data = run_once(benchmark, fig2a, seeds=BENCH_SEEDS)
+def test_fig2a_energy_vs_tasks():
+    data = fig2a(seeds=BENCH_SEEDS)
     show(data)
     assert_dominates(data, "LP-HTA", "HGOS", slack=1.02)
     assert_dominates(data, "HGOS", "AllOffload")
@@ -22,8 +22,8 @@ def test_fig2a_energy_vs_tasks(benchmark):
     assert data.values_of("AllToC")[-1] > 1.5 * data.values_of("LP-HTA")[-1]
 
 
-def test_fig2b_energy_vs_input_size(benchmark):
-    data = run_once(benchmark, fig2b, seeds=BENCH_SEEDS)
+def test_fig2b_energy_vs_input_size():
+    data = fig2b(seeds=BENCH_SEEDS)
     show(data)
     assert_dominates(data, "LP-HTA", "HGOS", slack=1.02)
     assert_dominates(data, "HGOS", "AllOffload")

@@ -6,13 +6,13 @@ high it would flatten the other curves).
 """
 
 import numpy as np
-from conftest import BENCH_SEEDS, assert_dominates, run_once, show
+from conftest import BENCH_SEEDS, assert_dominates, show
 
 from repro.experiments.figures import fig3
 
 
-def test_fig3_unsatisfied_rate(benchmark):
-    data = run_once(benchmark, fig3, seeds=BENCH_SEEDS)
+def test_fig3_unsatisfied_rate():
+    data = fig3(seeds=BENCH_SEEDS)
     show(data)
     assert_dominates(data, "LP-HTA", "HGOS", slack=1.001)
     assert_dominates(data, "LP-HTA", "AllOffload", slack=1.001)

@@ -5,13 +5,13 @@ advantage narrows with bigger inputs (Fig 4b) because large tasks outgrow
 the devices and must be offloaded anyway.
 """
 
-from conftest import BENCH_SEEDS, assert_dominates, run_once, show
+from conftest import BENCH_SEEDS, assert_dominates, show
 
 from repro.experiments.figures import fig4a, fig4b
 
 
-def test_fig4a_latency_vs_tasks(benchmark):
-    data = run_once(benchmark, fig4a, seeds=BENCH_SEEDS)
+def test_fig4a_latency_vs_tasks():
+    data = fig4a(seeds=BENCH_SEEDS)
     show(data)
     assert_dominates(data, "LP-HTA", "HGOS", slack=1.02)
     assert_dominates(data, "LP-HTA", "AllToC")
@@ -20,8 +20,8 @@ def test_fig4a_latency_vs_tasks(benchmark):
     assert data.values_of("AllToC")[0] > 1.3 * data.values_of("LP-HTA")[0]
 
 
-def test_fig4b_latency_vs_input_size(benchmark):
-    data = run_once(benchmark, fig4b, seeds=BENCH_SEEDS)
+def test_fig4b_latency_vs_input_size():
+    data = fig4b(seeds=BENCH_SEEDS)
     show(data)
     assert_dominates(data, "LP-HTA", "HGOS", slack=1.05)
     assert_dominates(data, "LP-HTA", "AllToC")

@@ -5,13 +5,13 @@ than LP-HTA (only op-info and partial results move, not raw data); the gap
 widens as the workload grows (5a) and as the result size shrinks (5b).
 """
 
-from conftest import BENCH_SEEDS, assert_dominates, run_once, show
+from conftest import BENCH_SEEDS, assert_dominates, show
 
 from repro.experiments.figures import fig5a, fig5b
 
 
-def test_fig5a_energy_vs_tasks(benchmark):
-    data = run_once(benchmark, fig5a, seeds=BENCH_SEEDS)
+def test_fig5a_energy_vs_tasks():
+    data = fig5a(seeds=BENCH_SEEDS)
     show(data)
     assert_dominates(data, "DTA-Workload", "LP-HTA")
     assert_dominates(data, "DTA-Number", "LP-HTA")
@@ -23,8 +23,8 @@ def test_fig5a_energy_vs_tasks(benchmark):
     assert dta[-1] < 0.6 * lp[-1]
 
 
-def test_fig5b_energy_vs_result_size(benchmark):
-    data = run_once(benchmark, fig5b, seeds=BENCH_SEEDS)
+def test_fig5b_energy_vs_result_size():
+    data = fig5b(seeds=BENCH_SEEDS)
     show(data)
     assert_dominates(data, "DTA-Workload", "LP-HTA")
     assert_dominates(data, "DTA-Number", "LP-HTA")

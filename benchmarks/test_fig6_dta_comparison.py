@@ -5,13 +5,13 @@ processing time (6a); DTA-Number's set-cover division involves far fewer
 mobile devices (6b).
 """
 
-from conftest import BENCH_SEEDS, assert_dominates, run_once, show
+from conftest import BENCH_SEEDS, assert_dominates, show
 
 from repro.experiments.figures import fig6a, fig6b
 
 
-def test_fig6a_processing_time(benchmark):
-    data = run_once(benchmark, fig6a, seeds=BENCH_SEEDS)
+def test_fig6a_processing_time():
+    data = fig6a(seeds=BENCH_SEEDS)
     show(data)
     assert_dominates(data, "DTA-Workload", "DTA-Number", slack=1.02)
     # The balanced division is substantially faster on average.
@@ -20,8 +20,8 @@ def test_fig6a_processing_time(benchmark):
     assert sum(workload) < 0.85 * sum(number)
 
 
-def test_fig6b_involved_devices(benchmark):
-    data = run_once(benchmark, fig6b, seeds=BENCH_SEEDS)
+def test_fig6b_involved_devices():
+    data = fig6b(seeds=BENCH_SEEDS)
     show(data)
     assert_dominates(data, "DTA-Number", "DTA-Workload", slack=1.001)
     # DTA-Number involves clearly fewer devices across the sweep.

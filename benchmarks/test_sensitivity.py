@@ -1,12 +1,10 @@
-"""Sensitivity benches: do the paper's orderings survive parameter changes?
+"""Sensitivity tests: do the paper's orderings survive parameter changes?
 
 DESIGN.md reconstructs several quantities the paper leaves open (deadline
-distribution, resource caps, external-data share).  These benches sweep
+distribution, resource caps, external-data share).  These tests sweep
 those reconstructions and assert the paper's qualitative conclusions are
 *not* artifacts of our particular choices.
 """
-
-from conftest import run_once
 
 from repro.experiments.grid import pivot, run_grid
 from repro.experiments.runner import evaluate_holistic
@@ -21,11 +19,10 @@ _EVALUATORS = {
 _BASE = PAPER_DEFAULTS.with_updates(num_tasks=150, max_input_bytes=3000 * KB)
 
 
-def test_deadline_sensitivity(benchmark):
+def test_deadline_sensitivity():
     """LP-HTA's energy win and unsatisfied-rate win hold from tight to
     loose deadline regimes."""
-    cells = run_once(
-        benchmark, run_grid,
+    cells = run_grid(
         _BASE,
         {"deadline_range_s": [(0.3, 2.0), (0.5, 6.0), (2.0, 10.0)]},
         _EVALUATORS,
@@ -41,10 +38,9 @@ def test_deadline_sensitivity(benchmark):
                                               "total_energy_j", "LP-HTA")])
 
 
-def test_cap_sensitivity(benchmark):
+def test_cap_sensitivity():
     """The energy ordering holds whether caps barely bind or choke."""
-    cells = run_once(
-        benchmark, run_grid,
+    cells = run_grid(
         _BASE,
         {"device_max_resource": [2.0, 6.0, 18.0]},
         _EVALUATORS,
@@ -61,10 +57,9 @@ def test_cap_sensitivity(benchmark):
     print("\ncap sweep LP-HTA:", [(c, round(v, 1)) for c, v in lp])
 
 
-def test_external_share_sensitivity(benchmark):
+def test_external_share_sensitivity():
     """More external data raises everyone's bill; LP-HTA stays cheapest."""
-    cells = run_once(
-        benchmark, run_grid,
+    cells = run_grid(
         _BASE,
         {"external_ratio_range": [(0.0, 0.0), (0.0, 0.5), (0.4, 1.0)]},
         _EVALUATORS,

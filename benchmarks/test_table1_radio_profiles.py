@@ -5,8 +5,8 @@ import pytest
 from repro.experiments.tables import table1_rows, table1_text
 
 
-def test_table1(benchmark):
-    text = benchmark.pedantic(table1_text, rounds=1, iterations=1)
+def test_table1():
+    text = table1_text()
     print()
     print(text)
     rows = table1_rows()

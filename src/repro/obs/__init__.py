@@ -37,7 +37,6 @@ __all__ = [
     "canonical_trace",
     "chrome_trace",
     "jsonl_lines",
-    "stage_breakdown",
     "stage_report",
     "write_chrome_trace",
     "write_jsonl",
@@ -49,7 +48,6 @@ _EXPORT = (
     "canonical_trace",
     "chrome_trace",
     "jsonl_lines",
-    "stage_breakdown",
     "stage_report",
     "write_chrome_trace",
     "write_jsonl",

@@ -32,7 +32,6 @@ __all__ = [
     "canonical_trace",
     "chrome_trace",
     "jsonl_lines",
-    "stage_breakdown",
     "stage_report",
     "write_chrome_trace",
     "write_jsonl",
@@ -255,26 +254,3 @@ def stage_report(telemetry: "Telemetry") -> str:
                 f"{entry['attempts']} attempt(s): {entry['error']}"
             )
     return "\n".join(lines)
-
-
-def stage_breakdown(telemetry: "Telemetry") -> Dict[str, Dict[str, float]]:
-    """Stage statistics as plain data (the ``BENCH_sweep.json`` section).
-
-    Only stages that were actually observed appear; all values derive from
-    the fixed-bucket histograms, so the section is comparable PR over PR.
-    """
-    breakdown: Dict[str, Dict[str, float]] = {}
-    for metric in sorted(telemetry.metrics.histograms):
-        if not metric.startswith("stage.") or not metric.endswith("_s"):
-            continue
-        histogram = telemetry.metrics.histograms[metric]
-        if histogram.count == 0:
-            continue
-        breakdown[metric[len("stage."):-len("_s")]] = {
-            "count": histogram.count,
-            "total_s": round(histogram.sum, 4),
-            "p50_ms": round(histogram.quantile(0.50) * 1e3, 3),
-            "p95_ms": round(histogram.quantile(0.95) * 1e3, 3),
-            "p99_ms": round(histogram.quantile(0.99) * 1e3, 3),
-        }
-    return breakdown

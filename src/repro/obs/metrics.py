@@ -15,9 +15,8 @@ p99".  Both obey one aggregation contract:
   samples or timestamps, so merged metrics are bit-identical across start
   methods and process counts for a deterministic workload.
 
-Quantiles (p50/p95/p99 in ``mecrepro report`` and the
-``stage_breakdown`` section of ``BENCH_sweep.json``) are estimated by
-linear interpolation inside the containing bucket, clamped to the observed
+Quantiles (p50/p95/p99 in ``mecrepro report``) are estimated by linear
+interpolation inside the containing bucket, clamped to the observed
 min/max — the usual fixed-bucket estimator, deterministic by construction.
 
 This module intentionally imports nothing from the rest of the package so

@@ -26,7 +26,7 @@ Three API layers, by cost:
   test (``tests/test_obs.py``).
 - :func:`stage` — a span *plus* an always-on observation into the
   ``stage.<name>_s`` fixed-bucket histogram, the source of
-  ``mecrepro report`` and ``BENCH_sweep.json``'s ``stage_breakdown``.
+  ``mecrepro report``'s stage table.
   Stages mark the pipeline's coarse units (one scenario generation, one LP
   solve, one DES replay), so the constant per-call cost — two
   ``perf_counter`` reads and a bucket increment — is noise against the

@@ -231,7 +231,7 @@ def _mini_figure(context):
 
     Each profile's cells form one sweep column, so outside reference mode
     the holistic and DTA evaluators both route through their mega-solve
-    entry points — the same shape ``bench_perf.py`` measures, small enough
+    entry points — the same shape as a full figure sweep, small enough
     for CI.
     """
     specs = (holistic_spec("LP-HTA"), dta_spec("workload"))

@@ -27,7 +27,6 @@ from repro.obs.export import (
     canonical_trace,
     chrome_trace,
     jsonl_lines,
-    stage_breakdown,
     stage_report,
 )
 from repro.obs.metrics import TIME_BOUNDS_S, Histogram, Metrics, bounds_for, format_count
@@ -455,13 +454,6 @@ class TestExport:
         for stage_name in CANONICAL_STAGES:
             assert f"\n{stage_name:<10}" in "\n" + report
         assert "lp.iterations" in report
-
-    def test_stage_breakdown_only_observed_stages(self):
-        breakdown = stage_breakdown(_traced_telemetry())
-        assert set(breakdown) == {"solve"}
-        assert breakdown["solve"]["count"] == 2  # stage() + record_solve
-        assert breakdown["solve"]["total_s"] >= 0.0
-        assert breakdown["solve"]["p50_ms"] <= breakdown["solve"]["p99_ms"]
 
 
 # ---------------------------------------------------------------------------
