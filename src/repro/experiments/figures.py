@@ -17,14 +17,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.experiments.parallel import (
     EvaluatorSpec,
     SweepCell,
     dta_spec,
     holistic_spec,
     run_cells,
+    seed_mean,
 )
 from repro.experiments.runner import AlgorithmResult
 from repro.registry import (
@@ -126,13 +125,8 @@ def _sweep(
     for point_idx in range(len(profiles)):
         rows = per_cell[point_idx * n_seeds : (point_idx + 1) * n_seeds]
         for spec_idx, spec in enumerate(specs):
-            # Quarantined cells come back as None; average over the seeds
-            # that survived, NaN when every seed at this point was lost.
-            values = [
-                getattr(row[spec_idx], metric) for row in rows if row is not None
-            ]
             series[spec.name].append(
-                float(np.mean(values)) if values else float("nan")
+                seed_mean(rows, lambda row: getattr(row[spec_idx], metric))
             )
     return SeriesData(
         figure_id=figure_id,

@@ -15,7 +15,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.context import RunContext, current_context
-from repro.experiments.parallel import SweepCell, as_spec, run_cells
+from repro.experiments.parallel import SweepCell, as_spec, run_cells, seed_mean
 from repro.experiments.runner import AlgorithmResult
 from repro.workload.generator import Scenario
 from repro.workload.profiles import WorkloadProfile
@@ -121,15 +121,8 @@ def run_grid(
     for point_idx, point in enumerate(points):
         rows = per_cell[point_idx * n_seeds : (point_idx + 1) * n_seeds]
         for spec_idx, spec in enumerate(specs):
-            # Quarantined cells come back as None; average over the seeds
-            # that survived, NaN when every seed at this point was lost.
-            results = [row[spec_idx] for row in rows if row is not None]
             metrics = {
-                field: (
-                    float(np.mean([getattr(r, field) for r in results]))
-                    if results
-                    else float("nan")
-                )
+                field: seed_mean(rows, lambda row: getattr(row[spec_idx], field))
                 for field in _METRIC_FIELDS
             }
             cells.append(

@@ -1,64 +1,61 @@
-"""Process-parallel execution of sweep cells.
+"""Supervised, process-parallel execution of sweep cells and city tiles.
 
-The figure reproducers and :func:`repro.experiments.grid.run_grid` both
-reduce to the same shape of work: a list of (profile × seed) cells, each
-evaluated by a fixed set of algorithms.  This module fans those cells out
-over a :class:`~concurrent.futures.ProcessPoolExecutor`.
+Two kinds of work reach the worker pool through this module: the
+(profile × seed) :class:`SweepCell` of the figure reproducers and
+:func:`repro.experiments.grid.run_grid`, via :func:`run_cells`, and the
+per-shard :class:`TileCell` of the city-scale stream, via
+:func:`run_tiles`.  Both are thin callers of one private supervised
+runner, which owns every dispatch step once:
 
-Three properties make the parallel path safe to substitute for the
-sequential one:
+1. stamp the caller's :class:`~repro.context.RunContext` onto unbound
+   cells, so worker processes — fork *or* spawn — see the submitter's
+   exact configuration (the run configuration travels inside the pickle
+   instead of relying on inherited process globals);
+2. for ``jobs > 1``, check that the cells pickle — on every machine,
+   even when the call ends up in-process;
+3. replay journalled cells when the context resumes, and checkpoint every
+   completed cell when it names a ``journal_path``;
+4. run the remaining dispatch groups under a
+   :class:`~repro.runtime.supervisor.Supervisor` (per-unit timeouts,
+   bounded retries with backoff, poison-cell quarantine — a cell that
+   keeps failing is recorded and skipped, its result slot left ``None``);
+5. do that in-process when one worker would do (``jobs=1``, a single
+   unit, a single CPU), else across a cached worker pool clamped to the
+   number of units and CPUs.
 
-- **Picklable work descriptors.**  A :class:`SweepCell` carries only the
-  (frozen) workload profile, the seed, :class:`EvaluatorSpec` values and
-  an explicit :class:`~repro.context.RunContext` — never a live scenario
-  or a closure — so cells cross process boundaries cheaply.  Each worker
-  obtains its scenario from ``(profile, seed)`` *under the cell's
-  context*, which is why spawn-started workers behave identically to
-  fork-started ones: the run configuration travels inside the pickle
-  instead of relying on inherited process globals.  A per-process memo
-  keyed by ``(profile, seed, context)`` lets cells that share a scenario
-  reuse it (and its cost tables) instead of regenerating; reference-mode
-  cells always regenerate so baselines stay honest.
-- **Deterministic per-cell seeding.**  Scenario generation is a pure
-  function of ``(profile, seed)``, and every evaluator is deterministic,
-  so a cell's results do not depend on which process runs it or in what
-  order.  Results are therefore bit-identical to the sequential path.
-- **Order-preserving collection.**  ``Executor.map`` yields results in
-  submission order, so downstream seed-averaging sees the exact same
-  float sequence either way.
+The callers differ only in what they hand the runner: how cells group
+into dispatch units, the journal key and error label of a cell, the
+in-process evaluator and the pool entry point.  Results are
+bit-identical in-process, under fork and under spawn because every cell
+is a pure function of its picklable fields — scenario generation is a
+pure function of ``(profile, seed)``, tile generation of ``(profile,
+spec, shard_id, seed)``, and every evaluator is deterministic — and
+because results are collected by cell index, whatever the scheduling.
 
-``jobs=1`` runs the cells in-process with no executor, no pickling
-requirement and no subprocess overhead; it is the default everywhere.
+Sweep cells sharing a profile, evaluator set and context — the seeds of
+one sweep column — form one dispatch unit when an evaluator has a batch
+form, so LP-HTA and DTA pool the column's Step-1 LP work into a single
+block-diagonal mega-solve (:func:`repro.core.hta.lp_hta_batch`).
+Column composition is a pure function of the cell list — never of
+``jobs`` or pool scheduling — so results, spans and telemetry do not
+depend on where the column runs.  A per-process memo keyed by
+``(profile, seed, context)`` lets cells that share a scenario reuse it
+(and its cost tables); reference-mode and traced cells always
+regenerate.  Tiles are their own dispatch units: each worker holds at
+most one tile at a time.
 
-Outside reference mode, cells sharing a profile, evaluator set and
-context — the seeds of one sweep column — are grouped and dispatched as
-one unit when an evaluator has a batch form: each such evaluator then
-pools the whole column's Step-1 LP work into a single block-diagonal
-mega-solve (:func:`repro.core.hta.lp_hta_batch`).  Column
-composition is a pure function of the cell list — never of ``jobs`` or
-pool scheduling — so results, spans and telemetry stay identical
-in-process, under fork and under spawn.
+Worker failures travel back as
+:class:`~repro.runtime.errors.RemoteCellError` with the remote traceback
+attached; worker telemetry (solve counts, wall time, cache and
+scenario-memo hits) is returned next to each unit's results and merged
+into the submitting context's sink, so ``--stats`` covers parallel runs.
 
-Worker telemetry (solve counts, wall time, cache and scenario-memo hits)
-is returned next to each cell's results and merged into the submitting
-context's sink, so ``--stats`` summaries cover parallel runs too.
-
-Pools persist between :func:`run_cells` calls (keyed by worker count and
-start method, torn down at interpreter exit): repeated sweeps skip pool
-start-up and keep each worker's scenario memo warm.  Long-lived callers
-(the CLI) wrap their dispatch in :func:`pool_scope`, which reaps the
-cached pools deterministically on the way out — including the
-``KeyboardInterrupt`` path — instead of leaning on the :mod:`atexit`
-hook alone.
-
-Dispatch itself runs under the crash-safe runtime (:mod:`repro.runtime`):
-every unit of work is supervised (per-cell timeouts, bounded retries
-with backoff, poison-cell quarantine — a cell that keeps failing is
-recorded and skipped, its result slot left ``None``), worker failures
-travel back as :class:`~repro.runtime.errors.RemoteCellError` with the
-remote traceback attached, and when the active context carries a
-``journal_path`` every completed cell is checkpointed so ``--resume``
-replays finished work instead of recomputing it.
+Pools persist between calls (keyed by worker count and start method,
+torn down at interpreter exit): repeated sweeps skip pool start-up and
+keep each worker's scenario memo warm.  Long-lived callers (the CLI)
+wrap their dispatch in :func:`pool_scope`, which reaps the cached pools
+deterministically on the way out — including the ``KeyboardInterrupt``
+path.
 """
 
 from __future__ import annotations
@@ -79,9 +76,12 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
 )
 
 import multiprocessing
+
+import numpy as np
 
 from repro import registry
 from repro.context import RunContext, Telemetry, current_context, use_context
@@ -117,6 +117,7 @@ __all__ = [
     "resolve_jobs",
     "run_cells",
     "run_tiles",
+    "seed_mean",
     "shutdown_pools",
 ]
 
@@ -157,9 +158,8 @@ class EvaluatorSpec:
 
         Registry algorithms with a batch form (LP-HTA, both DTA entries)
         clear all scenarios' Step-1 relaxations in one block-diagonal
-        mega-solve (:func:`repro.registry.run_batch`); everything else —
-        and every run with batching disabled — degenerates to the
-        per-scenario loop.  Results are identical to
+        mega-solve (:func:`repro.registry.run_batch`); everything else
+        degenerates to the per-scenario loop.  Results are identical to
         ``[self(s) for s in scenarios]`` either way.
         """
         context = self.context if self.context is not None else current_context()
@@ -263,33 +263,6 @@ def _scenario_for(
     return scenario
 
 
-def _evaluate_cell(cell: SweepCell) -> Tuple[AlgorithmResult, ...]:
-    """Worker entry point: obtain the scenario, run every evaluator.
-
-    The cell's context (when bound) is activated around both scenario
-    generation and evaluation, so reference/optimised routing and LP
-    settings are taken from the cell, never from process globals.
-    """
-    context = cell.context if cell.context is not None else current_context()
-    with use_context(context):
-        scenario = _scenario_for(cell.profile, cell.seed, context)
-        return tuple(spec(scenario) for spec in cell.evaluators)
-
-
-def _evaluate_cell_with_telemetry(
-    cell: SweepCell,
-) -> Tuple[Tuple[AlgorithmResult, ...], Telemetry]:
-    """Pool entry point: cell results plus the telemetry they generated.
-
-    Unpickled contexts start with zeroed telemetry (see
-    :meth:`~repro.context.RunContext.__getstate__`), so the returned sink
-    holds exactly this cell's deltas for the parent to merge.
-    """
-    results = _evaluate_cell(cell)
-    context = cell.context if cell.context is not None else current_context()
-    return results, context.telemetry
-
-
 #: Evaluator kinds whose :meth:`EvaluatorSpec.run_batch` pools LP work.
 _BATCH_KINDS = ("holistic", "dta")
 
@@ -335,14 +308,14 @@ def _group_columns(cells: Sequence[SweepCell]) -> List[List[int]]:
 def _evaluate_column(cells: Sequence[SweepCell]) -> List[Tuple[AlgorithmResult, ...]]:
     """Evaluate one sweep column, batching each evaluator across its cells.
 
-    Every cell's scenario is obtained first (same memo and counting as the
-    per-cell path), then each evaluator runs once over the whole column —
-    which is where LP-HTA and DTA pool their Step-1 relaxations into one
-    mega-solve.  Returns per-cell result tuples in cell order, identical
-    to ``[_evaluate_cell(c) for c in cells]``.
+    The column's context (when bound) is activated around both scenario
+    generation and evaluation, so reference/optimised routing and LP
+    settings are taken from the cells, never from process globals.  Every
+    cell's scenario is obtained first, then each evaluator runs once over
+    the whole column — which is where LP-HTA and DTA pool their Step-1
+    relaxations into one mega-solve; a one-cell column runs each evaluator
+    on its one scenario.  Returns per-cell result tuples in cell order.
     """
-    if len(cells) == 1:
-        return [_evaluate_cell(cells[0])]
     context = cells[0].context if cells[0].context is not None else current_context()
     with use_context(context):
         scenarios = [
@@ -365,24 +338,38 @@ def _column_label(cells: Sequence[SweepCell]) -> str:
     return f"cells {indices} (seeds {seeds})"
 
 
-def _evaluate_column_with_telemetry(
-    cells: Sequence[SweepCell],
-) -> Tuple[List[Tuple[AlgorithmResult, ...]], Telemetry]:
-    """Pool entry point for a whole column (cells share one context pickle).
+def _pool_entry(
+    cells: Sequence[Any],
+    evaluate: Callable[[Sequence[Any]], List[Any]],
+    label: Callable[[Sequence[Any]], str],
+) -> Tuple[List[Any], Telemetry]:
+    """The body of both pool entry points: a unit's results plus the
+    telemetry they generated.
 
-    Evaluation failures are re-raised as
+    Unpickled contexts start with zeroed telemetry (see
+    :meth:`~repro.context.RunContext.__getstate__`), so the returned sink
+    holds exactly this unit's deltas for the parent to merge.  Evaluation
+    failures are re-raised as
     :class:`~repro.runtime.errors.RemoteCellError` so the formatted remote
-    stack and the cell coordinates survive the pickle boundary back to the
-    supervisor.
+    stack, the unit's label and its config-error verdict survive the
+    pickle boundary back to the supervisor.
     """
     try:
-        results = _evaluate_column(cells)
+        results = evaluate(cells)
     except RemoteCellError:
         raise
     except Exception as exc:
-        raise RemoteCellError.wrap(exc, _column_label(cells)) from None
+        raise RemoteCellError.wrap(exc, label(cells)) from None
     context = cells[0].context if cells[0].context is not None else current_context()
     return results, context.telemetry
+
+
+def _evaluate_column_with_telemetry(
+    cells: Sequence[SweepCell],
+) -> Tuple[List[Tuple[AlgorithmResult, ...]], Telemetry]:
+    """Pool entry point for a sweep column (its cells share one context
+    pickle, so the column's telemetry lands in one sink)."""
+    return _pool_entry(cells, _evaluate_column, _column_label)
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -397,7 +384,11 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _bind_context(cell: SweepCell, context: RunContext) -> SweepCell:
+#: A sweep or tile cell: a frozen dataclass with a ``context`` field.
+_Cell = TypeVar("_Cell")
+
+
+def _bind_context(cell: _Cell, context: RunContext) -> _Cell:
     """Stamp ``context`` onto a cell that does not carry one already."""
     if cell.context is not None:
         return cell
@@ -405,7 +396,7 @@ def _bind_context(cell: SweepCell, context: RunContext) -> SweepCell:
 
 
 #: Live pools keyed by (worker count, start method), reused across
-#: :func:`run_cells` calls.  Repeated sweeps (figure batches, benchmark
+#: :func:`run_cells` and :func:`run_tiles` calls.  Repeated sweeps (figure batches, benchmark
 #: repeats) would otherwise pay pool start-up per call and lose every
 #: worker's scenario memo each time.
 _POOLS: Dict[Tuple[int, str], ProcessPoolExecutor] = {}
@@ -424,8 +415,8 @@ atexit.register(_shutdown_pools)
 def shutdown_pools() -> None:
     """Tear down every cached worker pool now.
 
-    Safe to call at any time; the next :func:`run_cells` simply starts
-    fresh pools.  Normally invoked through :func:`pool_scope`.
+    Safe to call at any time; the next pooled call simply starts fresh
+    pools.  Normally invoked through :func:`pool_scope`.
     """
     _shutdown_pools()
 
@@ -510,6 +501,112 @@ def _mp_context(
         return multiprocessing.get_context()
 
 
+def _run_supervised(
+    cells: Sequence[_Cell],
+    jobs: Optional[int],
+    start_method: Optional[str],
+    *,
+    group: Callable[[List[_Cell]], List[List[int]]],
+    key: Callable[[_Cell], Optional[str]],
+    label: Callable[[Sequence[_Cell]], str],
+    evaluate: Callable[[Sequence[_Cell]], List[Any]],
+    worker: Callable[[Sequence[_Cell]], Tuple[List[Any], Telemetry]],
+) -> List[Optional[Any]]:
+    """The supervised dispatch body behind :func:`run_cells` and
+    :func:`run_tiles`.
+
+    :param cells: the work descriptors; unbound ones get the caller's
+        context stamped on.
+    :param jobs: as for :func:`run_cells`.
+    :param start_method: as for :func:`run_cells`.
+    :param group: maps the bound cells to dispatch groups of cell indices.
+        Composition is fixed on the full list, before replay and before
+        any dispatch decision, so batched mega-solves are identical
+        in-process and across any pool.
+    :param key: a cell's journal key; ``None`` means "never journal".
+    :param label: where a unit lives, for quarantine records.
+    :param evaluate: in-process evaluator: a unit's cells to their
+        results, in order.
+    :param worker: pool entry point with the same contract plus the
+        unit's telemetry.  Callers pass it as a module-global name read at
+        call time, so a rebound module attribute (a profiler's wrapper)
+        is what ships to the workers.
+    :returns: per-cell results, in ``cells`` order; ``None`` marks a
+        quarantined cell.
+    """
+    jobs = resolve_jobs(jobs)
+    ambient = current_context()
+    bound = [_bind_context(cell, ambient) for cell in cells]
+    if jobs > 1:
+        # Validated for every jobs > 1 request — even ones that end up
+        # running in-process below — so picklability problems surface on
+        # every machine, not just multi-core ones.
+        try:
+            pickle.dumps(tuple(bound))
+        except Exception as exc:  # pickle raises a zoo of types
+            raise ValueError(
+                "cells are not picklable, so they cannot be shipped to worker "
+                "processes; use holistic_spec()/dta_spec() or a module-level "
+                f"callable instead of a closure (jobs={jobs}): {exc}"
+            ) from exc
+
+    results: List[Optional[Any]] = [None] * len(bound)
+    journal = journal_for(ambient.journal_path, ambient.resume)
+    keys = [key(cell) if journal is not None else None for cell in bound]
+    replayed: set = set()
+    if journal is not None and ambient.resume:
+        for index, cell_key in enumerate(keys):
+            value = journal.get(cell_key) if cell_key is not None else None
+            if value is not None:
+                results[index] = value
+                replayed.add(index)
+        if replayed:
+            ambient.telemetry.metrics.incr("journal.replays", len(replayed))
+    groups = [tuple(i for i in ids if i not in replayed) for ids in group(bound)]
+    groups = [ids for ids in groups if ids]
+
+    def checkpoint(index: int, value: Any) -> None:
+        # Fires per completed cell so a crash mid-sweep keeps everything
+        # finished so far, not just what a completed run would have saved.
+        if keys[index] is not None:
+            journal.record(keys[index], value)
+
+    supervisor = Supervisor(
+        RetryPolicy.from_context(ambient), ambient,
+        describe=lambda ids: label([bound[i] for i in ids]),
+        on_result=checkpoint,
+    )
+    # Never run more workers than units, and never oversubscribe the
+    # machine: extra processes on a smaller box only add scheduler churn.
+    # A one-worker pool would serialise anyway, so skip the pool entirely;
+    # in-process, telemetry accrues directly in each cell's context.
+    workers = min(jobs, len(groups), os.cpu_count() or jobs)
+    if workers <= 1:
+        result_map, _ = supervisor.run_local(
+            groups, lambda ids: evaluate([bound[i] for i in ids])
+        )
+    else:
+        # The pool is cached and reused by later calls: repeated sweeps
+        # skip process start-up, and each worker keeps its scenario memo
+        # warm.  Crash/timeout handling — pool discarding, retries,
+        # quarantine — lives in the supervisor.  Each unit ships as one
+        # pickle, so its cells' shared context stays one object in the
+        # worker and the unit's telemetry lands in one sink, which is
+        # folded back into the caller's so --stats covers parallel runs.
+        mp_context = _mp_context(start_method)
+        pool = PoolHandle(
+            acquire=lambda: _pool_for(workers, mp_context),
+            discard=lambda: _discard_pool(workers, mp_context),
+        )
+        result_map, _ = supervisor.run_pooled(
+            groups, worker, lambda ids: tuple(bound[i] for i in ids), pool,
+            ambient.telemetry.merge,
+        )
+    for index, value in result_map.items():
+        results[index] = value
+    return results
+
+
 def run_cells(
     cells: Sequence[SweepCell],
     jobs: Optional[int] = 1,
@@ -539,112 +636,30 @@ def run_cells(
     :raises ValueError: when ``jobs > 1`` and a cell does not pickle
         (e.g. a lambda evaluator was wrapped via :func:`as_spec`).
     """
-    jobs = resolve_jobs(jobs)
-    ambient = current_context()
-    bound = [_bind_context(cell, ambient) for cell in cells]
-    # Column composition is fixed here, before any dispatch decision, so
-    # batched mega-solves are identical in-process and across any pool.
-    columns = _group_columns(bound)
-
-    results: List[Optional[Tuple[AlgorithmResult, ...]]] = [None] * len(bound)
-    journal = journal_for(ambient.journal_path, ambient.resume)
-    keys: List[Optional[str]] = (
-        [_cell_key(cell) for cell in bound]
-        if journal is not None
-        else [None] * len(bound)
-    )
-    replayed: set = set()
-    if journal is not None and ambient.resume:
-        for index, key in enumerate(keys):
-            if key is None:
-                continue
-            value = journal.get(key)
-            if value is not None:
-                results[index] = value
-                replayed.add(index)
-        if replayed:
-            ambient.telemetry.metrics.incr("journal.replays", len(replayed))
-
-    groups = [
-        tuple(i for i in column if i not in replayed) for column in columns
-    ]
-    groups = [group for group in groups if group]
-    if not groups:
-        return results
-
-    def describe(ids: Tuple[int, ...]) -> str:
-        return _column_label([bound[i] for i in ids])
-
-    def checkpoint(index: int, value: Tuple[AlgorithmResult, ...]) -> None:
-        # Fires per completed cell so a crash mid-sweep keeps everything
-        # finished so far, not just what a completed run would have saved.
-        if journal is not None and keys[index] is not None:
-            journal.record(keys[index], value)
-
-    supervisor = Supervisor(
-        RetryPolicy.from_context(ambient), ambient, describe=describe,
-        on_result=checkpoint,
+    return _run_supervised(
+        cells, jobs, start_method,
+        group=_group_columns,
+        key=_cell_key,
+        label=_column_label,
+        evaluate=_evaluate_column,
+        worker=_evaluate_column_with_telemetry,
     )
 
-    def finish(
-        result_map: Dict[int, Tuple[AlgorithmResult, ...]],
-    ) -> List[Optional[Tuple[AlgorithmResult, ...]]]:
-        for index, value in result_map.items():
-            results[index] = value
-        return results
 
-    def run_local() -> List[Optional[Tuple[AlgorithmResult, ...]]]:
-        result_map, _ = supervisor.run_local(
-            groups, lambda ids: _evaluate_column([bound[i] for i in ids])
-        )
-        return finish(result_map)
+def seed_mean(
+    rows: Sequence[Optional[Tuple[AlgorithmResult, ...]]],
+    value: Callable[[Tuple[AlgorithmResult, ...]], float],
+) -> float:
+    """Mean of ``value(row)`` over one sweep point's seeds.
 
-    remaining = sum(len(group) for group in groups)
-    if jobs == 1 or remaining <= 1:
-        return run_local()
-
-    # Validated for every jobs > 1 request — even ones that end up running
-    # in-process below — so picklability problems surface on every machine,
-    # not just multi-core ones.
-    try:
-        pickle.dumps(tuple(bound))
-    except Exception as exc:  # pickle raises a zoo of types
-        raise ValueError(
-            "cells are not picklable, so they cannot be shipped to worker "
-            "processes; use holistic_spec()/dta_spec() or a module-level "
-            f"callable instead of a closure (jobs={jobs}): {exc}"
-        ) from exc
-
-    # Never run more workers than work items, and never oversubscribe the
-    # machine: extra processes on a smaller box only add scheduler churn.
-    # A one-worker pool would serialise anyway, so skip the pool entirely.
-    workers = min(jobs, len(groups), os.cpu_count() or jobs)
-    if workers <= 1:
-        return run_local()
-
-    mp_context = _mp_context(start_method)
-
-    # The pool is cached and reused by later run_cells calls: repeated
-    # sweeps skip process start-up, and each worker keeps its scenario
-    # memo warm across calls.  Crash/timeout handling — pool discarding,
-    # retries, quarantine — lives in the supervisor.
-    # Each column ships as one pickle, so its cells' shared context stays
-    # one object in the worker and the column's telemetry lands in one
-    # sink.  Singleton columns reproduce the historical per-cell dispatch.
-    pool = PoolHandle(
-        acquire=lambda: _pool_for(workers, mp_context),
-        discard=lambda: _discard_pool(workers, mp_context),
-    )
-    result_map, _ = supervisor.run_pooled(
-        groups,
-        _evaluate_column_with_telemetry,
-        lambda ids: tuple(bound[i] for i in ids),
-        pool,
-        # Fold each worker's solve/cache counters back into the caller's
-        # sink, so --stats covers parallel runs.
-        ambient.telemetry.merge,
-    )
-    return finish(result_map)
+    :param rows: the point's :func:`run_cells` results, one per seed.
+        Quarantined cells come back as ``None``; they are skipped.
+    :param value: reads the metric off one surviving row.
+    :returns: the mean over the surviving seeds, ``nan`` when every seed
+        at the point was lost.
+    """
+    values = [value(row) for row in rows if row is not None]
+    return float(np.mean(values)) if values else float("nan")
 
 
 @dataclass(frozen=True)
@@ -701,7 +716,7 @@ class TileResult:
 
 
 def _evaluate_tile(cell: TileCell) -> TileResult:
-    """Worker entry point: generate the cell's tile and LP-HTA it.
+    """Generate the cell's tile and LP-HTA it.
 
     Tile generation is a pure function of (profile, spec, shard_id, seed)
     and LP-HTA is deterministic, so the result does not depend on which
@@ -746,24 +761,16 @@ def _tile_label(cells: Sequence[TileCell]) -> str:
     return f"tile shards {shards} (seed {cells[0].seed})"
 
 
+def _evaluate_tiles(cells: Sequence[TileCell]) -> List[TileResult]:
+    """Evaluate a unit of (usually one) tile cells, in order."""
+    return [_evaluate_tile(cell) for cell in cells]
+
+
 def _evaluate_tiles_with_telemetry(
     cells: Sequence[TileCell],
 ) -> Tuple[List[TileResult], Telemetry]:
-    """Pool entry point: per-cell tile results plus their telemetry.
-
-    Takes a unit of (usually one) tile cells so the supervised dispatch
-    has one uniform worker contract; failures come back as
-    :class:`~repro.runtime.errors.RemoteCellError` with the shard id and
-    remote stack attached.
-    """
-    try:
-        results = [_evaluate_tile(cell) for cell in cells]
-    except RemoteCellError:
-        raise
-    except Exception as exc:
-        raise RemoteCellError.wrap(exc, _tile_label(cells)) from None
-    context = cells[0].context if cells[0].context is not None else current_context()
-    return results, context.telemetry
+    """Pool entry point for a unit of tile cells."""
+    return _pool_entry(cells, _evaluate_tiles, _tile_label)
 
 
 def _tile_key(cell: TileCell) -> str:
@@ -778,13 +785,6 @@ def _tile_key(cell: TileCell) -> str:
     )
 
 
-def _bind_tile_context(cell: TileCell, context: RunContext) -> TileCell:
-    """Stamp ``context`` onto a tile cell that does not carry one already."""
-    if cell.context is not None:
-        return cell
-    return dataclass_replace(cell, context=context)
-
-
 def run_tiles(
     cells: Sequence[TileCell],
     jobs: Optional[int] = 1,
@@ -795,9 +795,9 @@ def run_tiles(
     The streamed analogue of :func:`run_cells`, with shards as the
     dispatch unit: each worker holds at most one tile's system and cost
     rows at a time, so peak memory is bounded by the largest *shard*, not
-    the city.  Same pool cache, supervised retry/quarantine, journalled
-    checkpoints, order preservation and telemetry merge-back as the cell
-    path.
+    the city.  Both share one supervised runner, so tiles get the same
+    pool cache, retry/quarantine, journalled checkpoints, picklability
+    check, order preservation and telemetry merge-back as sweep cells.
 
     :param cells: one descriptor per shard to stream.
     :param jobs: worker processes; ``1`` (default) runs in-process,
@@ -808,84 +808,14 @@ def run_tiles(
         their cell.
     :returns: per-cell tile results, in ``cells`` order; ``None`` marks a
         quarantined tile.
+    :raises ValueError: when ``jobs > 1`` and a cell does not pickle.
     """
-    jobs = resolve_jobs(jobs)
-    ambient = current_context()
-    bound = [_bind_tile_context(cell, ambient) for cell in cells]
-
-    results: List[Optional[TileResult]] = [None] * len(bound)
-    journal = journal_for(ambient.journal_path, ambient.resume)
-    keys: List[Optional[str]] = (
-        [_tile_key(cell) for cell in bound]
-        if journal is not None
-        else [None] * len(bound)
+    return _run_supervised(
+        cells, jobs, start_method,
+        # Tiles are already the dispatch granularity: one unit each.
+        group=lambda bound: [[index] for index in range(len(bound))],
+        key=_tile_key,
+        label=_tile_label,
+        evaluate=_evaluate_tiles,
+        worker=_evaluate_tiles_with_telemetry,
     )
-    replayed: set = set()
-    if journal is not None and ambient.resume:
-        for index, key in enumerate(keys):
-            value = journal.get(key) if key is not None else None
-            if value is not None:
-                results[index] = value
-                replayed.add(index)
-        if replayed:
-            ambient.telemetry.metrics.incr("journal.replays", len(replayed))
-
-    # Tiles are already the dispatch granularity: one singleton unit each.
-    groups = [(i,) for i in range(len(bound)) if i not in replayed]
-    if not groups:
-        return results
-
-    def describe(ids: Tuple[int, ...]) -> str:
-        return _tile_label([bound[i] for i in ids])
-
-    def checkpoint(index: int, value: TileResult) -> None:
-        # Per-tile checkpoint, same rationale as run_cells: a crash keeps
-        # every tile completed so far.
-        if journal is not None and keys[index] is not None:
-            journal.record(keys[index], value)
-
-    supervisor = Supervisor(
-        RetryPolicy.from_context(ambient), ambient, describe=describe,
-        on_result=checkpoint,
-    )
-
-    def finish(result_map: Dict[int, TileResult]) -> List[Optional[TileResult]]:
-        for index, value in result_map.items():
-            results[index] = value
-        return results
-
-    def run_local() -> List[Optional[TileResult]]:
-        result_map, _ = supervisor.run_local(
-            groups, lambda ids: [_evaluate_tile(bound[i]) for i in ids]
-        )
-        return finish(result_map)
-
-    # In-process: telemetry accrues directly in each cell's context (for
-    # stamped cells, the ambient one), exactly like run_cells.
-    if jobs == 1 or len(groups) <= 1:
-        return run_local()
-
-    try:
-        pickle.dumps(tuple(bound))
-    except Exception as exc:  # pickle raises a zoo of types
-        raise ValueError(
-            f"tile cells are not picklable (jobs={jobs}): {exc}"
-        ) from exc
-
-    workers = min(jobs, len(groups), os.cpu_count() or jobs)
-    if workers <= 1:
-        return run_local()
-
-    mp_context = _mp_context(start_method)
-    pool = PoolHandle(
-        acquire=lambda: _pool_for(workers, mp_context),
-        discard=lambda: _discard_pool(workers, mp_context),
-    )
-    result_map, _ = supervisor.run_pooled(
-        groups,
-        _evaluate_tiles_with_telemetry,
-        lambda ids: tuple(bound[i] for i in ids),
-        pool,
-        ambient.telemetry.merge,
-    )
-    return finish(result_map)

@@ -10,10 +10,12 @@ carried through pickling, so the main-process error message (and the
 quarantine record) shows exactly where and why the worker failed.
 
 Configuration mistakes — an unknown algorithm name, a bad evaluator kind —
-raise ``ValueError``/``TypeError`` and must stay *fatal*: retrying them is
-useless and quarantining them would silently turn a typo into a ``nan``
-curve.  :func:`is_config_error` is the supervisor's classifier; it sees
-through a :class:`RemoteCellError` to the original exception type.
+raise ``ValueError``/``TypeError`` (or a subclass) and must stay *fatal*:
+retrying them is useless and quarantining them would silently turn a typo
+into a ``nan`` curve.  :func:`is_config_error` is the supervisor's
+classifier.  A :class:`RemoteCellError` carries the verdict the worker
+reached with the same ``isinstance`` rule, so an exception is classified
+the same in-process and across a pool.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = ["CellFailedError", "RemoteCellError", "is_config_error"]
 #: transient runtime failure.  The supervisor re-raises these immediately
 #: instead of retrying or quarantining.
 _CONFIG_ERROR_TYPES = (ValueError, TypeError)
-_CONFIG_ERROR_NAMES = tuple(t.__name__ for t in _CONFIG_ERROR_TYPES)
 
 
 class RemoteCellError(RuntimeError):
@@ -39,6 +40,8 @@ class RemoteCellError(RuntimeError):
     :param remote_traceback: ``traceback.format_exc()`` from the worker.
     :param original: the original exception instance when it pickles,
         else ``None`` (the type name and traceback always survive).
+    :param config_error: whether the original exception is a
+        configuration mistake, decided where its type was at hand.
     """
 
     def __init__(
@@ -47,6 +50,7 @@ class RemoteCellError(RuntimeError):
         original_type: str,
         remote_traceback: str,
         original: Optional[BaseException] = None,
+        config_error: bool = False,
     ) -> None:
         super().__init__(
             f"{label} failed with {original_type}; remote traceback:\n"
@@ -56,11 +60,15 @@ class RemoteCellError(RuntimeError):
         self.original_type = original_type
         self.remote_traceback = remote_traceback
         self.original = original
+        self.config_error = config_error
 
     def __reduce__(self):
         return (
             RemoteCellError,
-            (self.label, self.original_type, self.remote_traceback, self.original),
+            (
+                self.label, self.original_type, self.remote_traceback,
+                self.original, self.config_error,
+            ),
         )
 
     @classmethod
@@ -76,6 +84,7 @@ class RemoteCellError(RuntimeError):
             original_type=type(exc).__name__,
             remote_traceback=traceback.format_exc(),
             original=original,
+            config_error=isinstance(exc, _CONFIG_ERROR_TYPES),
         )
 
 
@@ -87,7 +96,7 @@ def is_config_error(exc: BaseException) -> bool:
     """Whether ``exc`` is a configuration mistake the supervisor must
     re-raise instead of retrying (unknown algorithm/backend/evaluator)."""
     if isinstance(exc, RemoteCellError):
-        return exc.original_type in _CONFIG_ERROR_NAMES
+        return exc.config_error
     return isinstance(exc, _CONFIG_ERROR_TYPES)
 
 

@@ -81,9 +81,11 @@ def test_unpicklable_evaluator_rejected_for_parallel_jobs():
     ]
     # In-process path accepts closures…
     assert len(run_cells(cells, jobs=1)) == 2
-    # …but any jobs > 1 request must fail loudly, on every machine.
-    with pytest.raises(ValueError, match="not picklable"):
-        run_cells(cells, jobs=2)
+    # …but any jobs > 1 request must fail loudly, on every machine — even
+    # one small enough to run in-process.
+    for work in (cells, cells[:1]):
+        with pytest.raises(ValueError, match="not picklable"):
+            run_cells(work, jobs=2)
 
 
 def test_run_grid_parallel_bit_identical_to_sequential():

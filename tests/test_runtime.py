@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.experiments.parallel as parallel_mod
 import repro.lp.backends as backends_mod
 import repro.runtime.journal as journal_mod
 from repro.context import RunContext, use_context
@@ -32,6 +33,7 @@ from repro.experiments.parallel import (
     pool_scope,
     run_cells,
     run_tiles,
+    shutdown_pools,
 )
 from repro.experiments.parallel import _POOLS
 from repro.experiments.runner import AlgorithmResult, evaluate_holistic
@@ -115,6 +117,11 @@ def _unknown_algorithm(scenario) -> AlgorithmResult:
     return evaluate_holistic(scenario, "NoSuchAlgorithm")
 
 
+def _raise_linalg_error(scenario) -> AlgorithmResult:
+    """Raises a ``ValueError`` subclass, which counts as a config error."""
+    raise np.linalg.LinAlgError(f"rigged singular matrix on seed {scenario.seed}")
+
+
 def _probe_cells(evaluator, n=3):
     """Cells whose only evaluator is a module-level callable: they have no
     batch form, so every cell is its own pool dispatch unit."""
@@ -122,6 +129,17 @@ def _probe_cells(evaluator, n=3):
     return [
         SweepCell(index=i, profile=_PROFILE, seed=i, evaluators=(spec,))
         for i in range(n)
+    ]
+
+
+def _tile_cells(n=2):
+    profile = PAPER_DEFAULTS.with_updates(
+        num_devices=14, num_stations=4, num_tasks=30
+    )
+    spec = ShardSpec.balanced(range(4), n)
+    return [
+        TileCell(profile=profile, spec=spec, shard_id=s, seed=0)
+        for s in range(n)
     ]
 
 
@@ -384,6 +402,66 @@ def test_pool_scope_reaps_cached_pools():
     assert not _POOLS  # reaped on exit
 
 
+@pytest.mark.usefixtures("_multi_cpu")
+def test_config_error_subclass_classified_alike_in_process_and_pooled():
+    def outcome(jobs):
+        context = RunContext(max_attempts=2, retry_backoff_s=0.0)
+        with use_context(context), pool_scope():
+            try:
+                results = run_cells(
+                    _probe_cells(_raise_linalg_error, n=2),
+                    jobs=jobs, start_method="fork",
+                )
+            except Exception as exc:
+                return type(exc).__name__, context.telemetry.cells_quarantined
+        return repr(results), context.telemetry.cells_quarantined
+
+    # LinAlgError subclasses ValueError: fatal, never retried or
+    # quarantined, whichever side of the pickle it is raised on.
+    assert outcome(1) == ("LinAlgError", 0)
+    assert outcome(2) == outcome(1)
+
+
+# ---------------------------------------------------------------------------
+# Tile dispatch
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.usefixtures("_multi_cpu")
+class TestTiles:
+    @pytest.mark.parametrize("start_method", _START_METHODS)
+    def test_pooled_tiles_match_in_process(self, start_method):
+        local = RunContext()
+        with use_context(local):
+            reference = run_tiles(_tile_cells())
+        pooled = RunContext()
+        with use_context(pooled), pool_scope():
+            results = run_tiles(_tile_cells(), jobs=2, start_method=start_method)
+        assert repr(results) == repr(reference)
+        # The workers' solve counters are merged back into the submitter.
+        assert pooled.telemetry.shard_solves == local.telemetry.shard_solves > 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_tile_is_quarantined(self, monkeypatch, jobs):
+        generate_tile = parallel_mod.generate_tile
+
+        def fail_shard_1(profile, spec, shard_id, seed):
+            if shard_id == 1:
+                raise RuntimeError("rigged tile failure")
+            return generate_tile(profile, spec, shard_id, seed)
+
+        monkeypatch.setattr(parallel_mod, "generate_tile", fail_shard_1)
+        shutdown_pools()  # forked workers must inherit the patch
+        context = RunContext(max_attempts=1, retry_backoff_s=0.0)
+        with use_context(context), pool_scope():
+            results = run_tiles(_tile_cells(), jobs=jobs, start_method="fork")
+        assert results[0] is not None and results[1] is None
+        assert context.telemetry.cells_quarantined == 1
+        entry = context.telemetry.quarantines[0]
+        assert entry["label"] == "tile shard 1 (seed 0)"
+        assert "rigged tile failure" in entry["error"]
+
+
 # ---------------------------------------------------------------------------
 # Checkpoint / resume
 # ---------------------------------------------------------------------------
@@ -453,14 +531,7 @@ class TestResume:
 
     def test_tile_resume_replays(self, tmp_path):
         path = str(tmp_path / "tiles.jsonl")
-        profile = PAPER_DEFAULTS.with_updates(
-            num_devices=14, num_stations=4, num_tasks=30
-        )
-        spec = ShardSpec.balanced(range(4), 2)
-        cells = [
-            TileCell(profile=profile, spec=spec, shard_id=s, seed=0)
-            for s in range(2)
-        ]
+        cells = _tile_cells()
         with use_context(RunContext()):
             reference = run_tiles(cells)
         with use_context(RunContext(journal_path=path)):
