@@ -10,16 +10,16 @@ Usage::
 
 Algorithm and policy choices come from :mod:`repro.registry`, so the CLI
 always lists exactly what is registered.  ``--stats`` prints the run's
-telemetry (LP solves, wall time, LP-cache and scenario-memo hit rates,
-faults, retries, fallbacks) collected on the active
+telemetry (LP solves, wall time, result-store, LP-cache and
+scenario-memo hit rates, faults, retries, fallbacks) collected on the active
 :class:`~repro.context.RunContext`.  ``--trace PATH`` / ``--log-json
 PATH`` enable span tracing and export it (Chrome ``trace_event`` JSON /
 JSONL); ``report`` runs one figure and prints the per-stage latency
 breakdown (see :mod:`repro.obs`).
 
 Sweeps are crash-safe: ``--journal PATH`` checkpoints every completed
-cell and ``--resume`` replays them byte-identically after a crash or
-kill; ``--cell-timeout`` / ``--max-attempts`` bound each cell's
+cell's results and ``--resume`` replays them byte-identically after a
+crash or kill; ``--cell-timeout`` / ``--max-attempts`` bound each cell's
 wall-clock and retries before quarantine (see :mod:`repro.runtime`).
 """
 
@@ -61,8 +61,8 @@ def _add_jobs_and_stats(parser: argparse.ArgumentParser, what: str) -> None:
 def _add_stats(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--stats", action="store_true",
-        help="print run telemetry (LP solves, wall time, LP-cache and "
-        "scenario-memo hit rates) at the end",
+        help="print run telemetry (LP solves, wall time, result-store, "
+        "LP-cache and scenario-memo hit rates) at the end",
     )
 
 

@@ -88,6 +88,11 @@ COUNTERS: Tuple[Tuple[str, str, Optional[str]], ...] = (
     ("cache_lookups", "lp.cache.*",
      "solve cache        {cache_hits}/{cache_lookups} hits "
      "({cache_hits/cache_lookups:.0%})"),
+    ("store_hits", "store.hits", None),
+    ("store_misses", "store.misses", None),
+    ("store_lookups", "store.*",
+     "result store       {store_hits}/{store_lookups} hits "
+     "({store_hits/store_lookups:.0%})"),
     ("scenario_memo_hits", "memo.hits", None),
     ("scenario_memo_misses", "memo.misses", None),
     ("scenario_memo_lookups", "memo.*",

@@ -13,8 +13,8 @@ runner, which owns every dispatch step once:
    instead of relying on inherited process globals);
 2. for ``jobs > 1``, check that the cells pickle — on every machine,
    even when the call ends up in-process;
-3. replay journalled cells when the context resumes, and checkpoint every
-   completed cell when it names a ``journal_path``;
+3. serve what each cell's context has already stored (see below), and
+   store every completed cell's new results as it comes back;
 4. run the remaining dispatch groups under a
    :class:`~repro.runtime.supervisor.Supervisor` (per-unit timeouts,
    bounded retries with backoff, poison-cell quarantine — a cell that
@@ -24,8 +24,9 @@ runner, which owns every dispatch step once:
    number of units and CPUs.
 
 The callers differ only in what they hand the runner: how cells group
-into dispatch units, the journal key and error label of a cell, the
-in-process evaluator and the pool entry point.  Results are
+into dispatch units, how a cell is served from its result store, the
+error label of a cell, the in-process evaluator and the pool entry
+point.  Results are
 bit-identical in-process, under fork and under spawn because every cell
 is a pure function of its picklable fields — scenario generation is a
 pure function of ``(profile, seed)``, tile generation of ``(profile,
@@ -36,13 +37,28 @@ Sweep cells sharing a profile, evaluator set and context — the seeds of
 one sweep column — form one dispatch unit when an evaluator has a batch
 form, so LP-HTA and DTA pool the column's Step-1 LP work into a single
 block-diagonal mega-solve (:func:`repro.core.hta.lp_hta_batch`).
-Column composition is a pure function of the cell list — never of
-``jobs`` or pool scheduling — so results, spans and telemetry do not
-depend on where the column runs.  A per-process memo keyed by
-``(profile, seed, context)`` lets cells that share a scenario reuse it
-(and its cost tables); reference-mode and traced cells always
-regenerate.  Tiles are their own dispatch units: each worker holds at
-most one tile at a time.
+Column composition is a pure function of the cells left to dispatch —
+never of ``jobs`` or pool scheduling — so results, spans and telemetry
+do not depend on where the column runs.  Tiles are their own dispatch
+units: each worker holds at most one tile at a time.
+
+Reuse: the figures are views of one table of (profile, seed, evaluator)
+results — Figs 2a, 3 and 4a sweep the same cells, 4b repeats 2b, and
+2b's 3000 kB column is 2a's 100-task column — so every sweep result is
+kept in its context's :class:`~repro.runtime.journal.ResultStore`,
+keyed by :func:`_result_key`.  Before dispatching, :func:`run_cells`
+serves every (cell, evaluator) pair the store holds: a cell with
+nothing missing is never dispatched, and a cell missing some
+evaluators runs with only those.  Lookups and stores happen in the
+submitting process, so hits are identical in-process, under fork and
+under spawn.  The store is a bounded in-memory LRU, or the ``--resume``
+journal when the context names one — one mechanism for reuse within a
+run and across a crash.  Callable evaluators and quarantined cells are
+never stored; reference-mode cells, the uncached baseline, are served
+only by an earlier run's journal, and tiles only by their journal.
+Below the store, a per-process memo keyed by ``(profile, seed,
+context)`` lets dispatched cells that share a scenario reuse it (and its
+cost tables); reference-mode and traced cells always regenerate.
 
 Worker failures travel back as
 :class:`~repro.runtime.errors.RemoteCellError` with the remote traceback
@@ -94,11 +110,12 @@ from repro.experiments.runner import (
 from repro.runtime import (
     PoolHandle,
     RemoteCellError,
+    ResultStore,
     RetryPolicy,
     Supervisor,
     context_fingerprint,
     fingerprint,
-    journal_for,
+    result_store,
 )
 from repro.system.sharding import ShardSpec
 from repro.workload.generator import Scenario, generate_scenario
@@ -455,33 +472,84 @@ def _discard_pool(workers: int, mp_context: "multiprocessing.context.BaseContext
         pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _cell_key(cell: SweepCell) -> Optional[str]:
-    """The cell's journal key, or ``None`` when it cannot be fingerprinted.
+def _result_key(cell: SweepCell, spec: EvaluatorSpec) -> Optional[str]:
+    """The store key of one evaluator's result on one cell, or ``None``
+    when it cannot be fingerprinted.
 
-    Callable evaluators have no stable identity the journal could trust
-    across runs, so cells carrying one always run live.  Everything else
-    in the key — profile, seed, evaluator descriptors, the
-    result-determining context fields — is a frozen value with a
-    deterministic ``repr``.
+    Callable evaluators have no stable identity a store could trust, so
+    their results are always computed live.  Everything else in the key —
+    profile, seed, the evaluator descriptor, the result-determining
+    context fields of the cell and the evaluator — is a frozen value with
+    a deterministic ``repr``.
     """
-    if any(spec.kind == "callable" for spec in cell.evaluators):
+    if spec.kind == "callable":
         return None
-    specs = tuple(
+    return fingerprint(
+        "sweep-result",
+        cell.profile,
+        cell.seed,
         (
             spec.name,
             spec.kind,
             spec.target,
             None if spec.context is None else context_fingerprint(spec.context),
-        )
-        for spec in cell.evaluators
-    )
-    return fingerprint(
-        "sweep-cell",
-        cell.profile,
-        cell.seed,
-        specs,
+        ),
         context_fingerprint(cell.context),
     )
+
+
+#: What a caller's ``serve`` hook hands the supervised runner: the results
+#: the cells' result stores already hold (``None`` where a cell must run),
+#: the cell to dispatch for each index (``None`` when served; possibly
+#: narrowed to the missing evaluators), and a hook that completes and
+#: stores a dispatched cell's result.
+_Served = Tuple[
+    List[Optional[Any]], List[Optional[Any]], Callable[[int, Any], Any]
+]
+
+
+def _serve_cells(cells: Sequence[SweepCell]) -> _Served:
+    """Serve every (cell, evaluator) pair the cell's context has stored;
+    narrow the rest.
+
+    A cell with every result stored is not dispatched; a cell missing
+    some runs with only those evaluators, and its completed tuple merges
+    them back in evaluator order.  Reference-mode cells stay the uncached
+    baseline: only an earlier run's journal serves them.
+    """
+    served: List[Optional[Any]] = []
+    todo: List[Optional[SweepCell]] = []
+    pending: Dict[
+        int, Tuple[ResultStore, List[Optional[str]], List[Any], List[int], bool]
+    ] = {}
+    for index, cell in enumerate(cells):
+        store = result_store(cell.context)
+        keys = [_result_key(cell, spec) for spec in cell.evaluators]
+        reuse = not cell.context.reference
+        found = store.lookup(keys, reuse)
+        missing = [j for j, value in enumerate(found) if value is None]
+        if not missing:
+            served.append(tuple(found))
+            todo.append(None)
+            continue
+        served.append(None)
+        if len(missing) < len(found):
+            cell = dataclass_replace(
+                cell, evaluators=tuple(cell.evaluators[j] for j in missing)
+            )
+        todo.append(cell)
+        pending[index] = (store, keys, found, missing, reuse)
+
+    def finish(index: int, computed: Tuple[AlgorithmResult, ...]) -> Tuple[AlgorithmResult, ...]:
+        store, keys, found, missing, reuse = pending[index]
+        for j, value in zip(missing, computed):
+            found[j] = value
+        store.keep(
+            {keys[j]: found[j] for j in missing if keys[j] is not None}, reuse
+        )
+        return tuple(found)
+
+    return served, todo, finish
 
 
 def _mp_context(
@@ -507,7 +575,7 @@ def _run_supervised(
     start_method: Optional[str],
     *,
     group: Callable[[List[_Cell]], List[List[int]]],
-    key: Callable[[_Cell], Optional[str]],
+    serve: Callable[[List[_Cell]], _Served],
     label: Callable[[Sequence[_Cell]], str],
     evaluate: Callable[[Sequence[_Cell]], List[Any]],
     worker: Callable[[Sequence[_Cell]], Tuple[List[Any], Telemetry]],
@@ -519,11 +587,13 @@ def _run_supervised(
         context stamped on.
     :param jobs: as for :func:`run_cells`.
     :param start_method: as for :func:`run_cells`.
-    :param group: maps the bound cells to dispatch groups of cell indices.
-        Composition is fixed on the full list, before replay and before
-        any dispatch decision, so batched mega-solves are identical
-        in-process and across any pool.
-    :param key: a cell's journal key; ``None`` means "never journal".
+    :param group: maps the cells left to dispatch to dispatch groups of
+        their indices.  Composition is fixed before any dispatch decision,
+        so batched mega-solves are identical in-process and across any
+        pool.
+    :param serve: answers what the cells' result stores already hold
+        (see :data:`_Served`); its completion hook runs in this process
+        as each dispatched cell finishes.
     :param label: where a unit lives, for quarantine records.
     :param evaluate: in-process evaluator: a unit's cells to their
         results, in order.
@@ -550,31 +620,22 @@ def _run_supervised(
                 f"callable instead of a closure (jobs={jobs}): {exc}"
             ) from exc
 
-    results: List[Optional[Any]] = [None] * len(bound)
-    journal = journal_for(ambient.journal_path, ambient.resume)
-    keys = [key(cell) if journal is not None else None for cell in bound]
-    replayed: set = set()
-    if journal is not None and ambient.resume:
-        for index, cell_key in enumerate(keys):
-            value = journal.get(cell_key) if cell_key is not None else None
-            if value is not None:
-                results[index] = value
-                replayed.add(index)
-        if replayed:
-            ambient.telemetry.metrics.incr("journal.replays", len(replayed))
-    groups = [tuple(i for i in ids if i not in replayed) for ids in group(bound)]
-    groups = [ids for ids in groups if ids]
+    results, todo, finish = serve(bound)
+    left = [index for index, cell in enumerate(todo) if cell is not None]
+    groups = [
+        tuple(left[j] for j in ids) for ids in group([todo[i] for i in left])
+    ]
 
-    def checkpoint(index: int, value: Any) -> None:
-        # Fires per completed cell so a crash mid-sweep keeps everything
-        # finished so far, not just what a completed run would have saved.
-        if keys[index] is not None:
-            journal.record(keys[index], value)
+    def deliver(index: int, value: Any) -> None:
+        # Fires per completed cell, in this process, so results are stored
+        # (and journalled) identically in-process, under fork and under
+        # spawn, and a crash mid-sweep keeps everything finished so far.
+        results[index] = finish(index, value)
 
     supervisor = Supervisor(
         RetryPolicy.from_context(ambient), ambient,
-        describe=lambda ids: label([bound[i] for i in ids]),
-        on_result=checkpoint,
+        describe=lambda ids: label([todo[i] for i in ids]),
+        on_result=deliver,
     )
     # Never run more workers than units, and never oversubscribe the
     # machine: extra processes on a smaller box only add scheduler churn.
@@ -582,9 +643,7 @@ def _run_supervised(
     # in-process, telemetry accrues directly in each cell's context.
     workers = min(jobs, len(groups), os.cpu_count() or jobs)
     if workers <= 1:
-        result_map, _ = supervisor.run_local(
-            groups, lambda ids: evaluate([bound[i] for i in ids])
-        )
+        supervisor.run_local(groups, lambda ids: evaluate([todo[i] for i in ids]))
     else:
         # The pool is cached and reused by later calls: repeated sweeps
         # skip process start-up, and each worker keeps its scenario memo
@@ -598,12 +657,10 @@ def _run_supervised(
             acquire=lambda: _pool_for(workers, mp_context),
             discard=lambda: _discard_pool(workers, mp_context),
         )
-        result_map, _ = supervisor.run_pooled(
-            groups, worker, lambda ids: tuple(bound[i] for i in ids), pool,
+        supervisor.run_pooled(
+            groups, worker, lambda ids: tuple(todo[i] for i in ids), pool,
             ambient.telemetry.merge,
         )
-    for index, value in result_map.items():
-        results[index] = value
     return results
 
 
@@ -614,13 +671,18 @@ def run_cells(
 ) -> List[Optional[Tuple[AlgorithmResult, ...]]]:
     """Evaluate every cell, in-process or across a worker pool, supervised.
 
-    Execution runs under the crash-safe runtime: failed cells are retried
-    per the active context's :class:`~repro.runtime.supervisor.RetryPolicy`
-    and quarantined (result slot ``None``) when they keep failing; when
-    the context names a ``journal_path`` every completed cell is
-    checkpointed, and with ``resume`` set journalled cells are replayed
-    instead of recomputed — bit-identically, because every cell is a pure
-    function of its fingerprinted inputs.
+    Each (cell, evaluator) result is computed once per context: pairs
+    the cell's context has already stored — by an earlier call, such as
+    another figure over the same cells, or in the journal of an earlier
+    run resumed with ``resume`` — are served bit-identically, since every
+    result is a pure function of its fingerprinted inputs, and only the
+    rest is dispatched.  A reference-mode cell is served only from an
+    earlier run's journal.  Execution runs under the crash-safe runtime:
+    failed cells are retried per the active context's
+    :class:`~repro.runtime.supervisor.RetryPolicy` and quarantined
+    (result slot ``None``, nothing stored) when they keep failing; each
+    completed cell's new results are stored as it comes back, with one
+    fsynced journal append when the context names a ``journal_path``.
 
     :param cells: the work descriptors.
     :param jobs: worker processes; ``1`` (default) runs in-process,
@@ -639,7 +701,7 @@ def run_cells(
     return _run_supervised(
         cells, jobs, start_method,
         group=_group_columns,
-        key=_cell_key,
+        serve=_serve_cells,
         label=_column_label,
         evaluate=_evaluate_column,
         worker=_evaluate_column_with_telemetry,
@@ -785,6 +847,26 @@ def _tile_key(cell: TileCell) -> str:
     )
 
 
+def _serve_tiles(cells: Sequence[TileCell]) -> _Served:
+    """Serve tiles an earlier run journalled; every other tile runs.
+
+    Tiles are never reused from memory (``reuse=False``), so a tile's
+    result store touches only its context's journal, when one is open.
+    """
+    keys = [_tile_key(cell) for cell in cells]
+    served = [
+        result_store(cell.context).lookup([key], reuse=False)[0]
+        for cell, key in zip(cells, keys)
+    ]
+    todo = [None if value is not None else cell for value, cell in zip(served, cells)]
+
+    def finish(index: int, result: TileResult) -> TileResult:
+        result_store(cells[index].context).keep({keys[index]: result}, reuse=False)
+        return result
+
+    return served, todo, finish
+
+
 def run_tiles(
     cells: Sequence[TileCell],
     jobs: Optional[int] = 1,
@@ -814,7 +896,7 @@ def run_tiles(
         cells, jobs, start_method,
         # Tiles are already the dispatch granularity: one unit each.
         group=lambda bound: [[index] for index in range(len(bound))],
-        key=_tile_key,
+        serve=_serve_tiles,
         label=_tile_label,
         evaluate=_evaluate_tiles,
         worker=_evaluate_tiles_with_telemetry,

@@ -4,8 +4,9 @@ The sweep and tile engines (`repro.experiments.parallel`) dispatch
 through this package so that hours-long city-scale runs survive worker
 crashes, hung solves and SIGKILLs:
 
-- :mod:`repro.runtime.journal` — append-only checkpoint journal keyed by
-  content fingerprint, powering ``--resume``.
+- :mod:`repro.runtime.journal` — the per-context result store, keyed by
+  content fingerprint, and the append-only checkpoint journal that is its
+  on-disk form, powering ``--resume``.
 - :mod:`repro.runtime.supervisor` — per-unit timeouts, bounded retries
   with decorrelated-jitter backoff, poison-cell quarantine.
 - :mod:`repro.runtime.errors` — picklable remote-traceback wrapper and
@@ -20,9 +21,11 @@ from repro.runtime.errors import (
 )
 from repro.runtime.journal import (
     Journal,
+    ResultStore,
     context_fingerprint,
     fingerprint,
     journal_for,
+    result_store,
 )
 from repro.runtime.supervisor import PoolHandle, RetryPolicy, Supervisor
 
@@ -31,6 +34,7 @@ __all__ = [
     "Journal",
     "PoolHandle",
     "RemoteCellError",
+    "ResultStore",
     "RetryPolicy",
     "Supervisor",
     "config_error_of",
@@ -38,4 +42,5 @@ __all__ = [
     "fingerprint",
     "is_config_error",
     "journal_for",
+    "result_store",
 ]

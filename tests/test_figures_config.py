@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.context import RunContext, use_context
 from repro.experiments import figures
 
 
@@ -79,6 +80,10 @@ class TestSeriesNumerics:
                 assert m == pytest.approx((a + b) / 2, rel=1e-9)
 
     def test_deterministic_per_seed(self):
-        a = figures.fig2b(seeds=(0,))
-        b = figures.fig2b(seeds=(0,))
+        # Fresh contexts, so the second run computes instead of being
+        # served from the first one's result store.
+        with use_context(RunContext()):
+            a = figures.fig2b(seeds=(0,))
+        with use_context(RunContext()):
+            b = figures.fig2b(seeds=(0,))
         assert a.series == b.series

@@ -35,6 +35,7 @@ from repro.experiments.parallel import (
     run_tiles,
     shutdown_pools,
 )
+from repro.experiments.figures import run_figure
 from repro.experiments.parallel import _POOLS
 from repro.experiments.runner import AlgorithmResult, evaluate_holistic
 from repro.lp import LinearProgram, LPStatus
@@ -53,11 +54,17 @@ from repro.runtime import (
     is_config_error,
     journal_for,
 )
+from repro.registry import ALL_OFFLOAD, ALL_TO_CLOUD, HGOS_NAME, LP_HTA
 from repro.system.sharding import ShardSpec
+from repro.units import KB
 from repro.workload.profiles import PAPER_DEFAULTS
 
 _PROFILE = PAPER_DEFAULTS.with_updates(num_tasks=8)
 _SPECS = (holistic_spec("AllToC"), holistic_spec("HGOS"))
+#: The evaluators of the holistic figures (2a/2b/4a/4b).
+_HOLISTIC_SPECS = tuple(
+    holistic_spec(name) for name in (LP_HTA, HGOS_NAME, ALL_TO_CLOUD, ALL_OFFLOAD)
+)
 
 #: Seed that the injected-fault evaluators treat as the poison cell.
 _POISON_SEED = 1
@@ -528,6 +535,68 @@ class TestResume:
         journal_mod._close_journals()
         with Journal(path, resume=True) as journal:
             assert len(journal) == 0
+
+    def test_resumed_figure_sequence_matches_uninterrupted(self, tmp_path):
+        """An ``all-figures``-style run resumed from a journal prints the
+        same bytes as one that was never interrupted."""
+        path = str(tmp_path / "figures.jsonl")
+        figure_ids = ("fig2a", "fig2b", "fig3", "fig4a", "fig4b")
+
+        def tables():
+            return "\n\n".join(
+                run_figure(figure_id, seeds=(0,)).format_table()
+                for figure_id in figure_ids
+            )
+
+        with use_context(RunContext()):
+            straight = tables()
+        # "Interrupted" after fig2a and two of fig2b's columns.
+        with use_context(RunContext(journal_path=path)):
+            run_figure("fig2a", seeds=(0,))
+            fig2b_cells = [
+                SweepCell(
+                    index=i, seed=0, evaluators=_HOLISTIC_SPECS,
+                    profile=PAPER_DEFAULTS.with_updates(
+                        num_tasks=100, max_input_bytes=kb * KB
+                    ),
+                )
+                for i, kb in enumerate((1000, 2000))
+            ]
+            run_cells(fig2b_cells)
+        journal_mod._close_journals()
+
+        resumed = RunContext(journal_path=path, resume=True)
+        with use_context(resumed):
+            assert tables() == straight
+        # fig2a, fig3 and fig4a replay their 8 cells each; fig2b and
+        # fig4b replay the 1000/2000/3000 kB columns.
+        assert resumed.telemetry.journal_replays == 8 + 3 + 8 + 8 + 3
+        assert resumed.telemetry.solves > 0  # fig2b's 4000/5000 kB columns
+
+    def test_old_format_journal_recomputes(self, tmp_path):
+        """Journals keyed per cell (the ``"sweep-cell"`` tag) match no
+        per-evaluator key: ``--resume`` recomputes them, never reading the
+        recorded values."""
+        path = str(tmp_path / "old.jsonl")
+        cells = _cells(2)
+        with use_context(RunContext()):
+            reference = run_cells(cells)
+        context = RunContext(journal_path=path, resume=True)
+        with Journal(path) as journal:
+            for cell in cells:
+                specs = tuple(
+                    (spec.name, spec.kind, spec.target, None)
+                    for spec in cell.evaluators
+                )
+                key = fingerprint(
+                    "sweep-cell", cell.profile, cell.seed, specs,
+                    context_fingerprint(context),
+                )
+                journal.record(key, (_ok_result("AllToC"), _ok_result("HGOS")))
+        with use_context(context):
+            results = run_cells(_cells(2))
+        assert repr(results) == repr(reference)
+        assert context.telemetry.journal_replays == 0
 
     def test_tile_resume_replays(self, tmp_path):
         path = str(tmp_path / "tiles.jsonl")

@@ -98,8 +98,11 @@ class TestReferenceDifferential:
 
     @pytest.mark.parametrize("reference", [False, True])
     def test_fork_and_spawn_match_sequential(self, reference):
+        # One context per run: a shared one would serve the pooled run
+        # from the in-process run's result store.
         with use_context(RunContext(reference=reference)):
             sequential = run_cells(self._cells(), jobs=1)
+        with use_context(RunContext(reference=reference)):
             fork = run_cells(self._cells(), jobs=2, start_method="fork")
         assert sequential == fork
         if _spawn_available():
