@@ -95,29 +95,6 @@ def _add_reference(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _shards(value: str) -> int:
-    """Argparse type for ``--shards``: non-negative int (0 = monolithic)."""
-    try:
-        shards = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"shards must be an integer, got {value!r}"
-        )
-    if shards < 0:
-        raise argparse.ArgumentTypeError(f"shards must be >= 0, got {shards}")
-    return shards
-
-
-def _add_shards(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards", type=_shards, default=0,
-        help="partition each system into this many station shards and "
-        "route LP-HTA through the per-shard solver (0 = monolithic; "
-        "output is bit-identical for any shard count; --reference "
-        "ignores sharding)",
-    )
-
-
 def _positive_attempts(value: str) -> int:
     """Argparse type for ``--max-attempts``: positive int."""
     try:
@@ -191,7 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also render an ASCII chart of the series",
     )
     _add_reference(figure)
-    _add_shards(figure)
     _add_jobs_and_stats(figure, "sweep")
     _add_start_method(figure)
     _add_runtime(figure)
@@ -203,7 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scenario seeds to average over",
     )
     _add_reference(all_figures)
-    _add_shards(all_figures)
     _add_jobs_and_stats(all_figures, "sweeps")
     _add_start_method(all_figures)
     _add_runtime(all_figures)
@@ -227,7 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS),
         help="scenario seeds to average over",
     )
-    _add_shards(report)
     _add_jobs_and_stats(report, "sweep")
     _add_start_method(report)
     _add_runtime(report)
@@ -350,12 +324,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         journal_path=getattr(args, "journal", None),
         resume=getattr(args, "resume", False),
     )
-    reference = getattr(args, "reference", False)
-    # Reference runs are the differential-testing baseline: no sharding,
-    # whatever --shards says.
     context = RunContext(
-        reference=reference, trace=trace,
-        shards=0 if reference else getattr(args, "shards", 0), **runtime,
+        reference=getattr(args, "reference", False), trace=trace, **runtime
     )
     with use_context(context), pool_scope():
         _dispatch(args)

@@ -10,8 +10,7 @@ value that travels inside every pickled sweep cell:
   cost tables, P2 assembly, Step 1, the structured LP solver, DTA, HGOS,
   assignment metrics, DES replay) through its seed-era implementation,
   for differential tests and honest benchmark baselines;
-- **LP settings** — default backend, fallback chain and the capacity of
-  the per-context LP solve cache;
+- **LP solve cache** — the capacity of the per-context cache;
 - **seeds** — the RNG seed handed to randomized algorithm variants.
 
 The active context is tracked with :mod:`contextvars`, so activation nests
@@ -45,20 +44,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 __all__ = [
     "COUNTERS",
-    "FALLBACK_LADDER",
     "RunContext",
     "Telemetry",
     "current_context",
     "use_context",
 ]
-
-
-#: The default LP fallback ladder below the primary backend: our IPM
-#: first, the from-scratch simplex as the numerically independent retry,
-#: scipy/HiGHS as the external last resort.  Defined here, not in
-#: :mod:`repro.lp.backends` (which re-exports it), because that module
-#: imports this one.
-FALLBACK_LADDER: Tuple[str, ...] = ("interior-point", "simplex", "scipy")
 
 
 #: Every telemetry counter, one row each: the attribute that reads it, its
@@ -295,22 +285,12 @@ class RunContext:
         DES replay; the LP solve cache and the scenario memo are
         bypassed.  Results are bit-identical either way; only speed
         differs.
-    :param lp_backend: default Step-1 backend for LP-HTA.
-    :param lp_fallback_backends: tried in order when the primary backend
-        fails numerically.
     :param lp_cache_capacity: capacity of the per-context LP solve cache;
         ``0`` disables the cache.  The default keeps a bounded cache on:
         sweeps and repeated figure cells rebuild bit-identical relaxations
         constantly, and a hit returns the exact stored result.  Reference
         mode never consults the cache regardless of capacity.
     :param seed: RNG seed handed to randomized algorithm variants.
-    :param shards: route LP-HTA through the sharded solver
-        (:func:`repro.core.sharded.lp_hta_sharded`) with this many
-        balanced station shards.  ``0`` (the default) keeps the monolithic
-        path.  With the paper's uncapped cloud the sharded output is
-        bit-identical for any shard count, so this is purely an execution
-        strategy; reference mode ignores it (the seed-era path is the
-        differential baseline).
     :param trace: record nested spans (:mod:`repro.obs.tracer`) into the
         telemetry sink.  Off by default: the disabled path is a shared
         no-op context manager with near-zero overhead.  Cells pickle their
@@ -338,11 +318,8 @@ class RunContext:
     """
 
     reference: bool = False
-    lp_backend: str = "structured"
-    lp_fallback_backends: Tuple[str, ...] = FALLBACK_LADDER
     lp_cache_capacity: int = 256
     seed: int = 0
-    shards: int = 0
     trace: bool = False
     max_attempts: int = 2
     cell_timeout_s: float = 0.0

@@ -26,13 +26,13 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.context import FALLBACK_LADDER, RunContext, current_context
+from repro.context import RunContext, current_context
 from repro.core.assignment import Assignment, Subsystem
 from repro.core.costs import NUM_SUBSYSTEMS, ClusterCosts, cluster_costs
 from repro.core.lp_builder import build_p2, build_p2_structured, reshape_solution
 from repro.lp.structured import solve_structured_batch
 from repro.core.task import Task
-from repro.lp.backends import solve as lp_solve
+from repro.lp.backends import FALLBACK_LADDER, solve as lp_solve
 from repro.lp.interior_point import solve_interior_point_batch
 from repro.lp.result import LPResult, LPStatus
 from repro.obs.tracer import span
@@ -59,12 +59,9 @@ class LPHTAOptions:
         our interior-point method specialised to P2's block structure —
         mathematically the same relaxation the paper solves, effectively
         linear-time per Newton step; ``"interior-point"`` is the generic
-        dense Mehrotra solver, ``"simplex"`` / ``"scipy"`` are for ablations
-        and cross-checks.
-    :param fallback_backends: tried in order if the primary backend fails
-        numerically (the solver fallback ladder; a sparse interior-point
-        rung gets an extra dense retry, and a greedy one-hot assignment
-        is the always-feasible bottom rung).
+        Mehrotra solver on the sparse assembly of P2, ``"simplex"`` /
+        ``"scipy"`` are for ablations and cross-checks.  Blocks the
+        backend fails descend the fallback ladder (:func:`_ladder`).
     :param rounding: ``"argmax"`` (Step 3 as written) or ``"randomized"``
         (sample the subsystem from the fractional row — ablation only).
     :param repair_order: ``"largest-first"`` (greedy by resource occupation,
@@ -73,7 +70,6 @@ class LPHTAOptions:
     """
 
     backend: str = "structured"
-    fallback_backends: Tuple[str, ...] = FALLBACK_LADDER
     rounding: str = "argmax"
     repair_order: str = "largest-first"
     seed: int = 0
@@ -157,11 +153,7 @@ class HTAReport:
 
 def _options_from_context(context: RunContext) -> LPHTAOptions:
     """The LP-HTA tunables implied by a run context."""
-    return LPHTAOptions(
-        backend=context.lp_backend,
-        fallback_backends=context.lp_fallback_backends,
-        seed=context.seed,
-    )
+    return LPHTAOptions(seed=context.seed)
 
 
 def _greedy_p2(
@@ -206,36 +198,10 @@ def _greedy_p2(
     )
 
 
-def _record_rung(
-    context: RunContext, options: LPHTAOptions, backend: str, dense: bool
-) -> None:
-    """Count a solve served by a ladder rung below the configured primary.
-
-    The relaxed-bounds retry is *not* a rung: dropping the A1 bounds is
-    the documented infeasibility workaround and happens on healthy runs,
-    so only a backend change (or the dense interior-point retry) counts
-    as a fallback.
-    """
-    if backend != options.backend or dense:
-        context.telemetry.metrics.incr(
-            f"lp.fallback.{backend}-dense" if dense else f"lp.fallback.{backend}"
-        )
-
-
-def _ladder(options: LPHTAOptions, context: RunContext) -> List[Tuple[str, bool]]:
-    """The ``(backend, dense)`` rungs of one relaxation level, in order.
-
-    The configured backend, then its fallbacks, each once; a sparse
-    interior-point rung gets a dense rebuild-and-retry right below it
-    (sparse factorisation is the usual numerical culprit; reference mode
-    builds P2 dense already, so a retry would repeat it).
-    """
-    rungs: List[Tuple[str, bool]] = []
-    for backend in (options.backend, *options.fallback_backends):
-        rungs.append((backend, False))
-        if backend == "interior-point" and not context.reference:
-            rungs.append((backend, True))
-    return list(dict.fromkeys(rungs))
+def _ladder(options: LPHTAOptions) -> Tuple[str, ...]:
+    """The backends of one relaxation level, in order: the configured
+    primary, then :data:`~repro.lp.backends.FALLBACK_LADDER`, each once."""
+    return tuple(dict.fromkeys((options.backend, *FALLBACK_LADDER)))
 
 
 def _solve_p2_ladder(
@@ -260,10 +226,12 @@ def _solve_p2_ladder(
     primary backend, bounds unrelaxed) clears every block in one
     block-diagonal mega-solve.  A result from any rung below the primary is
     counted in the telemetry (``lp.fallback.<rung>`` and the ``--stats``
-    fallback line) and tagged with the backend that produced it.  When
-    every backend fails at both relaxation levels, the ladder bottoms out
-    at :func:`_greedy_p2` instead of raising, so one pathological cluster
-    cannot abort a whole sweep.
+    fallback line) and tagged with the backend that produced it.  The
+    relaxed-bounds retry is *not* a rung: dropping the A1 bounds happens
+    on healthy runs too, so the primary backend's relaxed solves count as
+    no fallback.  When every backend fails at both relaxation levels, the
+    ladder bottoms out at :func:`_greedy_p2` instead of raising, so one
+    pathological cluster cannot abort a whole sweep.
 
     :param jobs: ``(costs, device_caps, station_cap)`` per cluster; a
         single cluster is a batch of one.
@@ -273,16 +241,17 @@ def _solve_p2_ladder(
     last: Dict[int, LPResult] = {}
     pending = list(range(len(jobs)))
     for relax in (False, True):
-        for backend, dense in _ladder(options, context):
+        for backend in _ladder(options):
             if not pending:
                 break
             solved = _solve_rung(
-                [jobs[index] for index in pending], backend, dense, relax, context
+                [jobs[index] for index in pending], backend, relax, context
             )
             failed = []
             for index, result in zip(pending, solved):
                 if result.status.ok:
-                    _record_rung(context, options, backend, dense)
+                    if backend != options.backend:
+                        context.telemetry.metrics.incr(f"lp.fallback.{backend}")
                     results[index] = result
                 else:
                     last[index] = result
@@ -298,16 +267,14 @@ def _solve_p2_ladder(
 def _solve_rung(
     jobs: Sequence[Tuple[ClusterCosts, Mapping[int, float], float]],
     backend: str,
-    dense: bool,
     relax: bool,
     context: RunContext,
 ) -> List[LPResult]:
     """One ladder rung over a batch of clusters.
 
-    The structured and sparse interior-point rungs solve their blocks as
-    one batch through the solve cache (:func:`_solve_batched`); the dense
-    retry and the simplex/scipy rungs go through the backend dispatcher
-    block by block.
+    The structured and interior-point rungs solve their blocks as one
+    batch through the solve cache (:func:`_solve_batched`); any other
+    backend goes through the backend dispatcher block by block.
     """
     from repro.caching.lp_cache import fingerprint_grouped, fingerprint_problem
 
@@ -321,13 +288,11 @@ def _solve_rung(
         return _solve_batched(
             grouped, backend, solve_structured_batch, fingerprint_grouped, context
         )
-    # The dense retry rebuilds with dense assembly: the dense Mehrotra path
-    # is the slower, steadier reference.
     problems = [
-        build_p2(costs, caps, cap, relax_deadline_bounds=relax, dense=dense).lp
+        build_p2(costs, caps, cap, relax_deadline_bounds=relax).lp
         for costs, caps, cap in jobs
     ]
-    if backend == "interior-point" and not dense:
+    if backend == "interior-point":
         return _solve_batched(
             problems, backend, solve_interior_point_batch, fingerprint_problem,
             context,

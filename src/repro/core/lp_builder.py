@@ -158,21 +158,18 @@ def build_p2(
     device_caps: Mapping[int, float],
     station_cap: float,
     relax_deadline_bounds: bool = False,
-    dense: bool = False,
 ) -> P2Build:
     """Assemble P2 for one cluster's cost table.
 
-    The constraint blocks are CSR sparse matrices, except in reference mode
-    or when ``dense`` asks for the dense reference assembly (the fallback
-    ladder's dense interior-point retry does).  Both assemblies hold the
-    same entries.
+    The constraint blocks are CSR sparse matrices, except in reference mode,
+    which keeps the seed's dense assembly.  Both assemblies hold the same
+    entries.
 
     :param costs: the priced tasks of the cluster.
     :param device_caps: :math:`max_i` per device id.
     :param station_cap: :math:`max_S` for the cluster's base station.
     :param relax_deadline_bounds: drop the A1 bounds (see
         :func:`_deadline_bounds`).
-    :param dense: assemble dense ndarray blocks instead of CSR.
     """
     n_tasks = costs.num_tasks
     n_vars = NUM_SUBSYSTEMS * n_tasks
@@ -180,7 +177,7 @@ def build_p2(
     objective = costs.energy_j.reshape(-1).astype(float)
     upper, doomed = _deadline_bounds(costs, relax_deadline_bounds)
 
-    if not dense and not current_context().reference:
+    if not current_context().reference:
         a_ub, b_ub = _assemble_ub_sparse(
             costs, device_caps, station_cap, n_tasks, n_vars
         )

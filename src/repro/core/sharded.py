@@ -214,9 +214,8 @@ def lp_hta_sharded(
 
     :param system: the global MEC system.
     :param tasks: the holistic tasks (global row order).
-    :param spec: station partition; defaults to
-        ``ShardSpec.balanced(..., context.shards)`` (one shard when the
-        context does not ask for sharding).
+    :param spec: station partition; defaults to one shard holding every
+        station.
     :param options: LP-HTA tunables, shared by every shard.
     :param coordinator: outer-loop tunables (finite budgets only).
     :param cloud_capacity: shared cloud resource budget.
@@ -227,8 +226,7 @@ def lp_hta_sharded(
         options = _options_from_context(context)
     tasks = list(tasks)
     if spec is None:
-        requested = context.shards if context.shards > 0 else 1
-        spec = ShardSpec.balanced(system.stations.keys(), requested)
+        spec = ShardSpec.balanced(system.stations.keys(), 1)
     sharded = ShardedSystem(system, spec)
     views = sharded.views(tasks, cloud_capacity=cloud_capacity)
     costs = cluster_costs(system, tasks)

@@ -14,7 +14,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.context import RunContext, current_context
+from repro.context import RunContext
 from repro.experiments.parallel import SweepCell, as_spec, run_cells, seed_mean
 from repro.experiments.runner import AlgorithmResult
 from repro.workload.generator import Scenario
@@ -62,7 +62,6 @@ def run_grid(
     seeds: Sequence[int] = (0,),
     jobs: Optional[int] = 1,
     context: Optional[RunContext] = None,
-    shards: int = 0,
 ) -> List[GridCell]:
     """Evaluate every grid point with every evaluator.
 
@@ -76,11 +75,6 @@ def run_grid(
     :param context: run configuration stamped onto every cell; ``None``
         lets :func:`~repro.experiments.parallel.run_cells` stamp the
         caller's active context instead.
-    :param shards: when ``> 0``, LP-HTA cells route through the sharded
-        solver (:func:`repro.core.sharded.lp_hta_sharded`) with this many
-        station shards; stamped onto the context as
-        :attr:`~repro.context.RunContext.shards`.  Results stay
-        bit-identical to the monolithic path for any shard count.
     :raises ValueError: for empty axes, evaluators or unknown fields.
     """
     if not axes:
@@ -90,12 +84,6 @@ def run_grid(
     for field in axes:
         if field not in WorkloadProfile.__dataclass_fields__:
             raise ValueError(f"unknown profile field {field!r}")
-    if shards < 0:
-        raise ValueError(f"shards must be >= 0, got {shards}")
-    if shards > 0:
-        context = (context if context is not None else current_context()).replace(
-            shards=shards
-        )
 
     specs = tuple(
         as_spec(name, evaluator) for name, evaluator in evaluators.items()

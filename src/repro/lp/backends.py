@@ -3,7 +3,8 @@
 ``"interior-point"`` (the default, mirroring the paper's Step 1) and
 ``"simplex"`` are our from-scratch solvers; ``"scipy"`` wraps
 ``scipy.optimize.linprog`` and exists so the test suite can cross-validate
-the from-scratch implementations against an independent solver.
+the from-scratch implementations against an independent solver; no
+fallback ladder includes it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.context import FALLBACK_LADDER, RunContext, current_context
+from repro.context import RunContext, current_context
 from repro.lp.interior_point import IPMOptions, solve_interior_point
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
@@ -19,6 +20,11 @@ from repro.lp.simplex import SimplexOptions, solve_simplex
 from repro.obs.tracer import span
 
 __all__ = ["FALLBACK_LADDER", "available_backends", "solve", "solve_with_fallback"]
+
+
+#: The LP fallback ladder below the primary backend: our sparse IPM first,
+#: then the from-scratch simplex as the numerically independent retry.
+FALLBACK_LADDER: Tuple[str, ...] = ("interior-point", "simplex")
 
 
 def _solve_scipy(problem: LinearProgram) -> LPResult:
@@ -77,8 +83,9 @@ def solve(
     :param method: one of :func:`available_backends`.
     :param cache: optional :class:`~repro.caching.lp_cache.LPSolveCache`;
         bit-identical (problem, method) pairs return the stored result
-        without solving.  Defaults to the context's own solve cache (off
-        unless ``lp_cache_capacity`` is set).
+        without solving.  Defaults to the context's own solve cache (on by
+        default; ``lp_cache_capacity=0`` turns it off, reference mode
+        bypasses it).
     :param context: run configuration and telemetry sink; defaults to the
         active :func:`~repro.context.current_context`.  Every call records
         one solve (wall time, iterations, cache hit).

@@ -337,12 +337,6 @@ def _evaluate_via_assign(
 def _assign_lp_hta(
     system: MECSystem, tasks: Sequence[Task], context: RunContext
 ) -> Assignment:
-    if context.shards > 0 and not context.reference:
-        # Sharded execution strategy: bit-identical output (the cloud is
-        # uncapped, so shards never couple), different solve grouping.
-        from repro.core.sharded import lp_hta_sharded
-
-        return lp_hta_sharded(system, list(tasks), context=context).assignment
     return lp_hta(system, list(tasks), context=context).assignment
 
 
@@ -350,15 +344,6 @@ def _evaluate_lp_hta_batch(
     scenarios: Sequence[Scenario], context: RunContext
 ) -> List[AlgorithmResult]:
     """Batch form of LP-HTA evaluation: one mega-solve across scenarios."""
-    if context.shards > 0 and not context.reference:
-        # The sharded path groups blocks per scenario (shard views pool
-        # into their own mega-solve); results stay bit-identical.
-        return [
-            _from_assignment(
-                LP_HTA, _assign_lp_hta(s.system, list(s.tasks), context)
-            )
-            for s in scenarios
-        ]
     reports = lp_hta_batch(
         [(s.system, list(s.tasks)) for s in scenarios], context=context
     )

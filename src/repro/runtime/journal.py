@@ -68,13 +68,7 @@ _JOURNAL_VERSION = 1
 #: capacities are deliberately excluded: they change how a run executes or
 #: reports, never what it computes, so a resumed run may replay cells
 #: recorded under different values of them.
-_RESULT_FIELDS: Tuple[str, ...] = (
-    "reference",
-    "lp_backend",
-    "lp_fallback_backends",
-    "seed",
-    "shards",
-)
+_RESULT_FIELDS: Tuple[str, ...] = ("reference", "seed")
 
 
 def context_fingerprint(context: RunContext) -> Tuple[Any, ...]:

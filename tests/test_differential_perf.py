@@ -16,7 +16,6 @@ output (not merely approximately equal):
   figure-style sweep (identical per-cell results, not just close).
 """
 
-import functools
 from unittest import mock
 
 import numpy as np
@@ -26,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.context import RunContext, use_context
 from repro.core import hta
 from repro.core.costs import ClusterCosts, cluster_costs
-from repro.core.hta import lp_hta
+from repro.core.hta import LPHTAOptions, lp_hta
 from repro.core.lp_builder import build_p2
 from repro.data.ownership import OwnershipMap
 from repro.dta.coverage import (
@@ -138,7 +137,8 @@ class TestSparseAssemblyMatchesDense:
         checked = 0
         for sub_costs, device_caps, station_cap in _cluster_inputs(scenario):
             sparse = build_p2(sub_costs, device_caps, station_cap)
-            dense = build_p2(sub_costs, device_caps, station_cap, dense=True)
+            with use_context(RunContext(reference=True)):
+                dense = build_p2(sub_costs, device_caps, station_cap)
             assert sparse.doomed_rows == dense.doomed_rows
             assert np.array_equal(sparse.lp.c, dense.lp.c)
             assert np.array_equal(sparse.lp.upper_bounds, dense.lp.upper_bounds)
@@ -166,13 +166,18 @@ class TestSparseAssemblyMatchesDense:
             PAPER_DEFAULTS.with_updates(num_tasks=80), seed=1
         )
         tasks = list(scenario.tasks)
-        dense_build = functools.partial(build_p2, dense=True)
+
+        def dense_build(*args, **kwargs):
+            # Reference mode is what selects the dense assembly.
+            with use_context(RunContext(reference=True)):
+                return build_p2(*args, **kwargs)
+
         for backend in ("interior-point", "scipy"):
-            context = RunContext(lp_backend=backend, lp_cache_capacity=0)
-            with use_context(context):
-                sparse_report = lp_hta(scenario.system, tasks)
+            options = LPHTAOptions(backend=backend)
+            with use_context(RunContext(lp_cache_capacity=0)):
+                sparse_report = lp_hta(scenario.system, tasks, options)
                 with mock.patch.object(hta, "build_p2", dense_build):
-                    dense_report = lp_hta(scenario.system, tasks)
+                    dense_report = lp_hta(scenario.system, tasks, options)
             assert (
                 sparse_report.assignment.decisions
                 == dense_report.assignment.decisions
@@ -199,9 +204,7 @@ class TestScenarioMemo:
         profile = PAPER_DEFAULTS.with_updates(num_tasks=5)
         a = parallel._scenario_for(profile, 0, context)
         b = parallel._scenario_for(profile, 1, context)
-        c = parallel._scenario_for(
-            profile, 0, RunContext(lp_backend="interior-point")
-        )
+        c = parallel._scenario_for(profile, 0, RunContext(seed=1))
         assert a is not b and a is not c
         assert context.telemetry.scenario_memo_hits == 0
 

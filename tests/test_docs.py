@@ -1,17 +1,25 @@
-"""Every repository path the documentation names in backticks exists.
+"""The documentation names only things that exist.
 
-A renamed module or a deleted script leaves its old path behind in the
-prose; these tests catch it.  A backticked token counts as a path when it
-starts with one of the repository's top-level directories (``repro/``
+Every repository path the documentation names in backticks exists: a
+renamed module or a deleted script leaves its old path behind in the
+prose, and these tests catch it.  A backticked token counts as a path when
+it starts with one of the repository's top-level directories (``repro/``
 resolves under ``src/``) or names a ``BENCH_*.json`` file.  A
 ``::name`` or ``:line`` suffix is stripped, and a glob must match at
 least one file.
+
+Every ``--flag`` of a documented ``mecrepro …`` or ``python -m repro …``
+command line exists on the CLI parser: on the named subcommand, or on some
+subcommand when the line elides it (``mecrepro ... --stats``).
 """
 
+import argparse
 import re
 from pathlib import Path
 
 import pytest
+
+from repro.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -19,6 +27,9 @@ DOCS = sorted(
     [ROOT / name for name in ("README.md", "DESIGN.md", "CONTRIBUTING.md", "EXPERIMENTS.md")]
     + list((ROOT / "docs").glob("*.md"))
 )
+
+#: Documents whose CLI command lines are checked.
+CLI_DOCS = DOCS + [ROOT / "examples" / "README.md"]
 
 _PREFIXES = ("src/", "repro/", "scripts/", "benchmarks/", "bench/", "docs/", "examples/",
              "tests/")
@@ -70,3 +81,86 @@ def test_backticked_paths_exist(doc):
         if not _exists(path)
     ]
     assert not missing, "\n".join(missing)
+
+
+_COMMAND = re.compile(r"(?:\bmecrepro|\bpython3? -m repro)(?=\s|$)(.*)")
+#: Where a documented command ends: a pipe, a command separator, a
+#: redirection or a shell comment.
+_COMMAND_END = re.compile(r"\||&&|;|>|\s#")
+
+
+def cli_commands(text):
+    """``(line number, subcommand, flags)`` for every documented command.
+
+    Fenced lines are read whole, joining ``\\`` continuations; outside
+    fences only code spans are read.
+    """
+    in_fence = False
+    pending = ""
+    for number, line in enumerate(text.splitlines(), start=1):
+        if line.lstrip().startswith("```"):
+            in_fence = not in_fence
+            continue
+        if in_fence:
+            pending += line
+            if pending.endswith("\\"):
+                pending = pending[:-1]
+                continue
+            candidates, pending = [pending], ""
+        else:
+            candidates = _SPAN.findall(line)
+        for candidate in candidates:
+            for match in _COMMAND.finditer(candidate):
+                tokens = _COMMAND_END.split(match.group(1))[0].split()
+                subcommand = tokens[0] if tokens else ""
+                flags = [
+                    token.split("=")[0] for token in tokens
+                    if re.fullmatch(r"--[a-z][a-z0-9-]*(=.*)?", token)
+                ]
+                yield number, subcommand, flags
+
+
+def _parser_flags():
+    """``{subcommand: its option strings}`` of the CLI parser."""
+    parser = _build_parser()
+    (subparsers,) = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        name: set(sub._option_string_actions)
+        for name, sub in subparsers.choices.items()
+    }
+
+
+def test_command_scanner_reads_fences_spans_and_continuations():
+    text = (
+        "Run `mecrepro figure fig2a --seeds 0 | diff - x --brief` or\n"
+        "`python -m repro.cli --nope` and `mecrepro ... --stats`.\n"
+        "```\n"
+        "PYTHONPATH=src python -m repro demo --tasks 5 \\\n"
+        "    --stats > out.txt  # --not-a-flag\n"
+        "```\n"
+    )
+    assert list(cli_commands(text)) == [
+        (1, "figure", ["--seeds"]),
+        (2, "...", ["--stats"]),
+        (5, "demo", ["--tasks", "--stats"]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "doc", CLI_DOCS, ids=lambda doc: str(doc.relative_to(ROOT))
+)
+def test_documented_cli_flags_exist(doc):
+    flags_of = _parser_flags()
+    every_flag = set().union(*flags_of.values())
+    unknown = [
+        f"{doc.relative_to(ROOT)}:{number}: mecrepro {subcommand} {flag}"
+        for number, subcommand, flags in cli_commands(
+            doc.read_text(encoding="utf-8")
+        )
+        for flag in flags
+        if flag not in flags_of.get(subcommand, every_flag)
+    ]
+    assert not unknown, "\n".join(unknown)

@@ -1,14 +1,17 @@
 """Step-1 blocks that defeat the structured solver, kept as fixtures.
 
-``tests/data/ladder_blocks.npz`` holds two P2 cluster blocks on which the
+``tests/data/ladder_blocks.npz`` holds three P2 cluster blocks on which the
 structured interior-point loop runs into its iteration cap:
 
 - ``fig2a_seed57``: a 37-task cluster of the Fig. 2(a) sweep at seed 57,
 - ``online_faulty_seed0``: a one-task cluster of the ``online_faulty``
-  benchmark workload at seed 0.
+  benchmark workload at seed 0,
+- ``online_faulty_seed0_simplex``: an 11-task cluster of the same run.
 
-Both descend LP-HTA's fallback ladder to the sparse interior-point rung.
-Each block stores its cost arrays, its tasks (owner, index, local and
+The first two descend LP-HTA's fallback ladder to the sparse
+interior-point rung.  The third fails that rung too and is the one block
+of the ladder census in ``docs/robustness.md`` that the simplex rung
+catches, which is why that rung stays.  Each block stores its cost arrays, its tasks (owner, index, local and
 external bytes, external source or -1, resource demand, deadline), its
 device capacities as ``(device_id, cap)`` rows and its station capacity.
 """
@@ -22,13 +25,17 @@ from repro.context import RunContext, use_context
 from repro.core import hta
 from repro.core.costs import ClusterCosts
 from repro.core.hta import LPHTAOptions, lp_hta_cluster
-from repro.core.lp_builder import build_p2_structured
+from repro.core.lp_builder import build_p2, build_p2_structured
 from repro.core.task import Task
+from repro.lp.backends import solve
 from repro.lp.result import LPStatus
 from repro.lp.structured import solve_structured
 
 FIXTURES = Path(__file__).parent / "data" / "ladder_blocks.npz"
+#: Blocks the sparse interior-point rung catches.
 BLOCKS = ("fig2a_seed57", "online_faulty_seed0")
+#: The block only the simplex rung catches.
+SIMPLEX_BLOCK = "online_faulty_seed0_simplex"
 
 
 def load_block(name):
@@ -57,7 +64,7 @@ def load_block(name):
         return costs, caps, float(data[f"{name}.station_cap"])
 
 
-@pytest.mark.parametrize("name", BLOCKS)
+@pytest.mark.parametrize("name", BLOCKS + (SIMPLEX_BLOCK,))
 def test_structured_solver_hits_its_iteration_cap(name):
     with use_context(RunContext()):
         result = solve_structured(build_p2_structured(*load_block(name)).lp)
@@ -110,3 +117,34 @@ def test_cluster_report_matches_reference(name):
         assert getattr(report, field) == pytest.approx(
             getattr(ref_report, field), rel=1e-6
         )
+
+
+def test_simplex_catches_the_block_the_interior_point_rung_fails(monkeypatch):
+    """The unrelaxed level tries structured, then sparse interior-point,
+    then simplex, which solves the block: no dense retry, no scipy."""
+    rungs = []
+    solve_rung = hta._solve_rung
+
+    def recording(jobs, backend, *rest):
+        results = solve_rung(jobs, backend, *rest)
+        rungs.append((backend, [r.status.ok for r in results]))
+        return results
+
+    monkeypatch.setattr(hta, "_solve_rung", recording)
+    block = load_block(SIMPLEX_BLOCK)
+    context = RunContext()
+    with use_context(context):
+        (result,) = hta._solve_p2_ladder([block], LPHTAOptions(), context)
+        expected = solve(build_p2(*block).lp, "scipy", context=context)
+    assert rungs == [
+        ("structured", [False]), ("interior-point", [False]), ("simplex", [True]),
+    ]
+    assert result.backend == "simplex"
+    fallbacks = {
+        name: count
+        for name, count in context.telemetry.metrics.counters.items()
+        if name.startswith("lp.fallback.")
+    }
+    assert fallbacks == {"lp.fallback.simplex": 1}
+    assert expected.status.ok
+    assert result.objective == pytest.approx(expected.objective, rel=1e-9)

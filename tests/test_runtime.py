@@ -24,7 +24,7 @@ import repro.experiments.parallel as parallel_mod
 import repro.lp.backends as backends_mod
 import repro.runtime.journal as journal_mod
 from repro.context import RunContext, use_context
-from repro.core.hta import lp_hta
+from repro.core.hta import LPHTAOptions, lp_hta
 from repro.experiments.parallel import (
     SweepCell,
     TileCell,
@@ -661,7 +661,7 @@ class TestFallbackLadder:
         assert context.telemetry.metrics.counter("lp.fallback.simplex") == 1
 
     def test_all_rungs_fail_returns_last_result(self, lp, monkeypatch):
-        for name in ("interior-point", "simplex", "scipy"):
+        for name in ("interior-point", "simplex"):
             monkeypatch.setitem(
                 backends_mod._BACKENDS, name,
                 lambda p, name=name: _rigged_failure(name),
@@ -669,7 +669,7 @@ class TestFallbackLadder:
         context = RunContext()
         result = solve_with_fallback(lp, context=context)
         assert not result.status.ok
-        assert result.backend == "scipy"
+        assert result.backend == "simplex"
 
     def test_empty_ladder_rejected(self, lp):
         with pytest.raises(ValueError, match="at least one backend"):
@@ -698,25 +698,37 @@ class TestFallbackLadder:
         summary = context.telemetry.summary()
         assert "greedy" in summary
 
-    @pytest.mark.parametrize("reference, per_cluster", [(True, 2), (False, 4)])
-    def test_dense_retry_only_below_a_sparse_rung(
-        self, small_scenario, monkeypatch, reference, per_cluster
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_rigged_failure_walks_primary_interior_point_simplex_then_greedy(
+        self, small_scenario, monkeypatch, reference
     ):
-        """Reference mode builds P2 dense already, so a failed
-        interior-point solve is not repeated on the identical dense LP: one
-        attempt per relaxation level instead of a sparse and a dense one."""
-        ipm_inputs = []
+        """With every rung rigged to fail, each relaxation level tries
+        exactly the structured primary, the interior-point rung and the
+        simplex rung, each once per cluster, before the greedy bottom rung.
+        The interior-point rung sees the sparse assembly, or the dense one
+        in reference mode; nothing retries it dense or calls scipy."""
+        attempts = []
 
         def rigged(lp, backend, **kwargs):
-            if backend == "interior-point":
-                ipm_inputs.append(sp.issparse(lp.a_eq))
+            attempts.append(backend)
             return _rigged_failure(backend)
 
-        def rigged_batch(problems):
+        def rigged_structured(blocks):
+            attempts.extend("structured" for _ in blocks)
+            return [_rigged_failure("structured") for _ in blocks]
+
+        def rigged_interior_point(problems):
+            for problem in problems:
+                assert sp.issparse(problem.a_eq) is not reference
             return [rigged(problem, "interior-point") for problem in problems]
 
         monkeypatch.setattr("repro.core.hta.lp_solve", rigged)
-        _rig_batch_solvers(monkeypatch, interior_point=rigged_batch)
+        monkeypatch.setattr(
+            "repro.core.hta.solve_structured_batch", rigged_structured
+        )
+        monkeypatch.setattr(
+            "repro.core.hta.solve_interior_point_batch", rigged_interior_point
+        )
         context = RunContext(reference=reference)
         with use_context(context):
             report = lp_hta(
@@ -724,14 +736,18 @@ class TestFallbackLadder:
                 context=context,
             )
         clusters = len(report.clusters)
-        assert len(ipm_inputs) == per_cluster * clusters
-        # Per relaxation level, rung by rung over the clusters: the sparse
-        # attempts, then their dense retries; reference mode makes one
-        # dense attempt.
-        per_level = [False] if reference else [True, False]
-        assert ipm_inputs == [
-            sparse for sparse in per_level for _ in range(clusters)
-        ] * 2
+        level = [
+            backend
+            for backend in ("structured", "interior-point", "simplex")
+            for _ in range(clusters)
+        ]
+        assert attempts == level * 2
+        counters = context.telemetry.metrics.counters
+        assert {
+            name: count for name, count in counters.items()
+            if name.startswith("lp.fallback.")
+        } == {"lp.fallback.greedy": clusters}
+        assert all(c.lp_backend == "greedy" for c in report.clusters)
 
     def test_primary_listed_again_as_fallback_runs_once(
         self, small_scenario, monkeypatch
@@ -751,22 +767,23 @@ class TestFallbackLadder:
                 rigged(problem, "interior-point") for problem in problems
             ],
         )
-        context = RunContext(lp_backend="interior-point")
+        context = RunContext()
         with use_context(context):
             report = lp_hta(
                 small_scenario.system, list(small_scenario.tasks),
-                context=context,
+                LPHTAOptions(backend="interior-point"), context=context,
             )
-        # Per level and cluster: sparse, dense, simplex, scipy.
+        # Per level and cluster: interior-point, then simplex.
         clusters = len(report.clusters)
-        assert attempts.count("interior-point") == 2 * 2 * clusters
-        assert attempts.count("simplex") == 2 * clusters
+        assert attempts == (
+            ["interior-point"] * clusters + ["simplex"] * clusters
+        ) * 2
 
-    def test_dense_retry_rescues_a_failed_sparse_solve(
+    def test_simplex_rescues_failed_batched_rungs(
         self, small_scenario, monkeypatch
     ):
-        # The sparse interior-point rung is a batch; its dense retry goes
-        # through the (unrigged) backend dispatcher.
+        # The structured and interior-point rungs are batches; the simplex
+        # rung goes through the (unrigged) backend dispatcher.
         _rig_batch_solvers(monkeypatch)
         context = RunContext()
         with use_context(context):
@@ -775,11 +792,9 @@ class TestFallbackLadder:
                 context=context,
             )
         counters = context.telemetry.metrics
-        assert counters.counter("lp.fallback.interior-point-dense") == len(
-            report.clusters
-        )
+        assert counters.counter("lp.fallback.simplex") == len(report.clusters)
         assert counters.counter("lp.fallback.greedy") == 0
-        assert all(c.lp_backend == "interior-point" for c in report.clusters)
+        assert all(c.lp_backend == "simplex" for c in report.clusters)
 
 
 # ---------------------------------------------------------------------------

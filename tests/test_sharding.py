@@ -11,7 +11,6 @@ from repro.core.costs import cluster_costs
 from repro.core.hta import lp_hta
 from repro.core.lagrangian import CoordinatorOptions
 from repro.core.sharded import lp_hta_sharded
-from repro.registry import LP_HTA, run as registry_run
 from repro.system.sharding import ShardSpec, ShardedSystem
 from repro.workload import PAPER_DEFAULTS, generate_scenario
 
@@ -123,7 +122,8 @@ class TestShardedSystem:
 
 
 class TestDifferentialUncapped:
-    @pytest.mark.parametrize("num_shards", [1, 2, 3, 4])
+    # ``None`` leaves the spec to its one-shard default.
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 4, None])
     @pytest.mark.parametrize("alone", [False, True])
     def test_bit_identical_to_monolithic(
         self, scenario, monolithic, num_shards, alone, monkeypatch
@@ -141,7 +141,7 @@ class TestDifferentialUncapped:
             report = lp_hta_sharded(
                 scenario.system,
                 list(scenario.tasks),
-                spec=ShardSpec.balanced(range(4), num_shards),
+                spec=num_shards and ShardSpec.balanced(range(4), num_shards),
             )
         assert report.assignment.decisions == monolithic.assignment.decisions
         assert report.clusters == monolithic.clusters
@@ -149,22 +149,17 @@ class TestDifferentialUncapped:
             report.assignment.total_energy_j()
             == monolithic.assignment.total_energy_j()
         )
-        assert report.num_shards == num_shards
+        assert report.num_shards == (num_shards or 1)
         assert report.outer_iterations == 0
         assert report.best_dual_j == pytest.approx(monolithic.lp_objective_j)
 
-    def test_context_routes_registry_through_shards(self, scenario, monolithic):
-        with use_context(RunContext(shards=2)):
-            sharded = registry_run(LP_HTA, scenario)
-        with use_context(RunContext()):
-            mono = registry_run(LP_HTA, scenario)
-        assert sharded.total_energy_j == mono.total_energy_j
-        assert sharded.unsatisfied_rate == mono.unsatisfied_rate
-
     def test_telemetry_counts_shard_solves(self, scenario):
-        context = RunContext(shards=3)
+        context = RunContext()
         with use_context(context):
-            lp_hta_sharded(scenario.system, list(scenario.tasks))
+            lp_hta_sharded(
+                scenario.system, list(scenario.tasks),
+                spec=ShardSpec.balanced(range(4), 3),
+            )
         assert context.telemetry.shard_solves == 3
         assert "shard solves" in context.telemetry.summary()
 
