@@ -749,6 +749,50 @@ class TestFallbackLadder:
         } == {"lp.fallback.greedy": clusters}
         assert all(c.lp_backend == "greedy" for c in report.clusters)
 
+    @pytest.mark.parametrize("reference, per_cluster", [(True, 2), (False, 4)])
+    def test_dense_retry_only_below_a_sparse_rung(
+        self, small_scenario, monkeypatch, reference, per_cluster
+    ):
+        """Only reference mode hands the ladder a dense P2; a default run
+        never retries a failed sparse solve dense.  With the interior-point
+        rung failing and the simplex rung solving dense LPs only, a
+        reference run is rescued by simplex at the first relaxation level
+        (two attempts per cluster), while a default run walks both levels
+        on the sparse assembly (four attempts) down to greedy."""
+        import repro.core.hta as hta_mod
+
+        real_lp_solve = hta_mod.lp_solve
+        inputs = []
+
+        def rigged(lp, backend, **kwargs):
+            inputs.append((backend, sp.issparse(lp.a_eq)))
+            if backend == "simplex" and not sp.issparse(lp.a_eq):
+                return real_lp_solve(lp, backend, **kwargs)
+            return _rigged_failure(backend)
+
+        monkeypatch.setattr("repro.core.hta.lp_solve", rigged)
+        _rig_batch_solvers(
+            monkeypatch,
+            interior_point=lambda problems: [
+                rigged(problem, "interior-point") for problem in problems
+            ],
+        )
+        context = RunContext(reference=reference)
+        with use_context(context):
+            report = lp_hta(
+                small_scenario.system, list(small_scenario.tasks),
+                context=context,
+            )
+        clusters = len(report.clusters)
+        assert len(inputs) == per_cluster * clusters
+        assert all(sparse is not reference for _, sparse in inputs)
+        levels = per_cluster // 2
+        assert [backend for backend, _ in inputs] == (
+            ["interior-point"] * clusters + ["simplex"] * clusters
+        ) * levels
+        rescued = "simplex" if reference else "greedy"
+        assert all(c.lp_backend == rescued for c in report.clusters)
+
     def test_primary_listed_again_as_fallback_runs_once(
         self, small_scenario, monkeypatch
     ):
