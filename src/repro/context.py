@@ -68,6 +68,10 @@ COUNTERS: Tuple[Tuple[str, str, Optional[str]], ...] = (
     ("batch_solves", "lp.batch_size:count",
      "batched solves     {batched_blocks} blocks in {batch_solves} mega-solves"),
     ("batched_blocks", "lp.batch_size:sum", None),
+    ("shape_groups", "lp.shape_group:count",
+     "shape groups       {shape_groups} at layout builds, "
+     "{shape_group_blocks/shape_groups:.1f} blocks each"),
+    ("shape_group_blocks", "lp.shape_group:sum", None),
     ("batch_cache_hits", "lp.batch_cache.hits", None),
     ("batch_cache_misses", "lp.batch_cache.misses", None),
     ("batch_cache_lookups", "lp.batch_cache.*",

@@ -25,9 +25,8 @@ The algorithm is the same Mehrotra predictor–corrector as
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -178,14 +177,11 @@ def solve_structured(
     return solve_structured_batch([lp], options)[0]
 
 
-class _Block:
-    """Per-block bookkeeping for :func:`solve_structured_batch`."""
-
-    __slots__ = (
-        "idx", "lp", "sl", "ks", "gs", "n", "k", "m", "r_mat", "bounded",
-        "u_off", "schur_diag", "norm_b", "norm_c", "num_comp", "mu",
-        "rt", "u_block", "schur", "rhs",
-    )
+#: Rows of :attr:`_Layout.dots`, one per-block dot product each: the
+#: per-variable family (w·v, x·z, r_u·r_u, r_dx·r_dx), the per-coupling
+#: family (s·z_s, r_c·r_c, r_ds·r_ds) and the per-group r_g·r_g.  The
+#: affine-step dots reuse rows w·v, x·z and s·z_s.
+_WV, _XZ, _RU, _RDX, _SZ, _RC, _RDS, _RG = range(8)
 
 
 def _segments(*families: np.ndarray):
@@ -215,48 +211,109 @@ def _segment_min(values: np.ndarray, starts: np.ndarray, nonempty) -> np.ndarray
     return out
 
 
+class _Group:
+    """A run of same-shape blocks: B blocks of K coupling rows, n variables,
+    m equality groups and nb bounded variables each.
+
+    Holds the run's constant stacks — coupling rows ``r_mat`` (B, K, n)
+    and group indices ``gi`` (B, 1, n) — its scaled rows ``rt`` and, once a
+    :class:`_Layout` places the run, ``(B, …)`` views of that layout's
+    buffers, so every per-block product of an iteration is one stacked
+    call for the run.
+    """
+
+    __slots__ = (
+        "count", "k", "n", "m", "nb", "r_mat", "r_t", "gi", "u_rows", "u_len",
+        "v_in", "theta_in", "k_in", "theta_s_in", "g_in",
+        "n_out", "k_out", "k_out2", "g_out", "schur", "schur_diag",
+        "rt", "ut", "u",
+    )
+
+    def __init__(
+        self,
+        shape,
+        r_mat: Optional[np.ndarray],
+        gi: np.ndarray,
+        rt: Optional[np.ndarray] = None,
+    ) -> None:
+        self.k, self.n, self.m, self.nb = shape
+        self.count = gi.shape[0]
+        self.r_mat = r_mat
+        self.gi = gi
+        if self.k:
+            self.r_t = r_mat.transpose(0, 2, 1)
+            self.rt = np.empty(r_mat.shape) if rt is None else rt
+            rows = np.arange(self.count * self.k).reshape(self.count, self.k, 1)
+            self.u_rows = rows * self.m
+            self.u_len = self.count * self.k * self.m
+
+    def take(self, keep: np.ndarray) -> "_Group":
+        """The run's kept blocks (itself when it keeps all of them).
+
+        The survivors' coupling rows are gathered into the leading rows of
+        the ``rt`` scratch stack, and the old coupling stack becomes the
+        new scratch: compaction allocates no stack.
+        """
+        if keep.all():
+            return self
+        shape = (self.k, self.n, self.m, self.nb)
+        if not self.k:
+            return _Group(shape, None, self.gi[keep])
+        kept = np.flatnonzero(keep)
+        count = kept.shape[0]
+        r_mat = np.take(self.r_mat, kept, axis=0, out=self.rt[:count], mode="clip")
+        return _Group(shape, r_mat, self.gi[kept], self.r_mat[:count])
+
+
 class _Layout:
     """Where each active block sits in the compacted state vectors.
 
-    Built once up front and again only when blocks freeze, so the
-    per-iteration loop never re-derives offsets, K-groups or buffers.
+    Blocks are ordered by shape, so each :class:`_Group` is a contiguous
+    run in every concatenated family.  Built once up front and again only
+    when blocks freeze: the per-iteration loop never re-derives offsets,
+    buffers or views.  Operands of the stacked products are copied into
+    ``*_in`` buffers and results land in ``*_out`` buffers, so the views
+    outlive the state vectors the loop rebinds.  A rebuilt layout takes
+    leading slices of its predecessor's operand, result and dot buffers
+    (``pool``): the active set only shrinks, so compaction allocates none
+    of them.
     """
 
     def __init__(
         self,
-        blocks: List[_Block],
+        groups: List[_Group],
+        per_block: Sequence[np.ndarray],
         c: np.ndarray,
         u: np.ndarray,
         group_rhs: np.ndarray,
         coupling_b: np.ndarray,
+        metrics,
+        pool: Optional[dict] = None,
     ) -> None:
-        self.blocks = blocks
+        self.groups = groups
+        self.per_block = per_block
+        self.idx, self.norm_b, self.norm_c = per_block
         self.c = c
         self.u = u
         self.group_rhs = group_rhs
         self.coupling_b = coupling_b
+        self.metrics = metrics
         self.bounded = np.isfinite(u)
         self.all_bounded = bool(self.bounded.all())
-        self.n_sizes = np.array([blk.n for blk in blocks], dtype=np.intp)
-        self.k_sizes = np.array([blk.k for blk in blocks], dtype=np.intp)
-        self.g_sizes = np.array([blk.m for blk in blocks], dtype=np.intp)
-        v_off = np.concatenate(([0], np.cumsum(self.n_sizes)))
-        k_off = np.concatenate(([0], np.cumsum(self.k_sizes)))
-        g_off = np.concatenate(([0], np.cumsum(self.g_sizes)))
-        n_tot = int(v_off[-1])
-        k_tot = int(k_off[-1])
-        self.g_tot = int(g_off[-1])
-        by_k: Dict[int, List[_Block]] = {}
-        for b, blk in enumerate(blocks):
-            blk.sl = slice(int(v_off[b]), int(v_off[b + 1]))
-            blk.ks = slice(int(k_off[b]), int(k_off[b + 1]))
-            blk.gs = slice(int(g_off[b]), int(g_off[b + 1]))
-            if blk.k:
-                by_k.setdefault(blk.k, []).append(blk)
-        self.k_blocks = [blk for blk in blocks if blk.k]
-        self.gi_off = np.concatenate(
-            [blk.lp.group_index + blk.gs.start for blk in blocks]
+        counts = [grp.count for grp in groups]
+        self.num_blocks = sum(counts)
+        self.n_sizes = np.repeat([grp.n for grp in groups], counts)
+        self.k_sizes = np.repeat([grp.k for grp in groups], counts)
+        self.g_sizes = np.repeat([grp.m for grp in groups], counts)
+        # Complementarity pairs per block: x·z, s·z_s and the bounded w·v.
+        self.num_comp = np.repeat(
+            [float(grp.n + grp.k + grp.nb) for grp in groups], counts
         )
+        self.v_off = np.concatenate(([0], np.cumsum(self.n_sizes))).tolist()
+        n_tot = self.v_off[-1]
+        k_tot = int(self.k_sizes.sum())
+        self.g_tot = int(self.g_sizes.sum())
+        b_tot = int(self.bounded.sum())
         n, k = self.n_sizes, self.k_sizes
         # Step-length families (x, s, w | z, z_s, v) and orthant families
         # (x, z, s, z_s), each concatenated family-major.
@@ -271,52 +328,152 @@ class _Layout:
                 (free_n, free_k, self.bounded, free_n, free_k, self.bounded)
             )
 
-        # The Schur systems of equal-K blocks are solved as one stack; each
-        # block writes its matrix and right-hand side into its own row.
-        self.k_groups = []
-        for size, group in by_k.items():
-            schur = np.empty((len(group), size, size))
-            rhs = np.empty((len(group), size))
-            for j, blk in enumerate(group):
-                blk.schur = schur[j]
-                blk.rhs = rhs[j]
-            starts = np.array([blk.ks.start for blk in group], dtype=np.intp)
-            k_idx = (starts[:, None] + np.arange(size)).ravel()
-            self.k_groups.append((k_idx, schur, rhs))
+        self.pool = {} if pool is None else pool
 
-        # Per-block matvec landing buffers: K-coupled blocks refill their
-        # slices every iteration, K = 0 blocks keep zeros.
-        self.mv = np.zeros(k_tot)        # r_mat @ x
-        self.at_y = np.zeros(n_tot)      # r_mat.T @ y_r
-        self.rtgx = np.zeros(k_tot)      # rt @ g_x
-        self.ub_dyr = np.zeros(self.g_tot)  # u_block @ dy_r
-        self.at_dyr = np.zeros(n_tot)    # r_mat.T @ dy_r
-        self.dy_r = np.zeros(k_tot)
+        def buffer(name, *shape):
+            base = self.pool.get(name)
+            if base is None:
+                base = self.pool[name] = np.empty(shape)
+            return base[..., : shape[-1]]
+
+        # Operand and result buffers of the stacked products.  K = 0 runs
+        # never write theirs, so their result slices stay zero.
+        self.v_in, self.n_out = buffer("v_in", n_tot), buffer("n_out", n_tot)
+        self.k_in, self.k_out = buffer("k_in", k_tot), buffer("k_out", k_tot)
+        self.k_out2, self.rhs = buffer("k_out2", k_tot), buffer("rhs", k_tot)
+        self.g_in, self.g_out = buffer("g_in", self.g_tot), buffer("g_out", self.g_tot)
+        self.n_out.fill(0.0)
+        self.g_out.fill(0.0)
+        # Dot operands, one row per dot: left and right rows per family
+        # (w, x, r_u, r_dx | v, z, r_u, r_dx and s, r_c, r_ds | z_s, r_c,
+        # r_ds); r_g is its own right operand.  When some variable is
+        # unbounded, w and v get a buffer of their bounded entries and the
+        # per-variable dots start at x.  A run whose family is empty writes
+        # no dot, leaving its rows at the empty dot's 0.0.
+        self.dot_n = buffer("dot_n", 2, 4, n_tot)
+        self.dot_k = buffer("dot_k", 2, 3, k_tot)
+        self.dot_g = buffer("dot_g", 1, self.g_tot)
+        dot_wv = (
+            self.dot_n[:, :1] if self.all_bounded else buffer("dot_wv", 2, 1, b_tot)
+        )
+        # The named rows the loop fills, and the squares' right operands.
+        (left_n, right_n), (left_k, right_k) = self.dot_n, self.dot_k
+        self.w_row, self.v_row = dot_wv[:, 0]
+        self.x_row, self.z_row = left_n[_XZ], right_n[_XZ]
+        self.ru_row, self.rdx_row = left_n[_RU], left_n[_RDX]
+        self.s_row, self.zs_row = left_k[0], right_k[0]
+        self.rc_row, self.rds_row = left_k[1], left_k[2]
+        self.rg_row = self.dot_g[0]
+        self.squares = ((right_n[_RU:], left_n[_RU:]), (right_k[1:], left_k[1:]))
+        first = _WV if self.all_bounded else _XZ
+        self.dots = buffer("dots", 8, self.num_blocks)
+        self.dots.fill(0.0)
+        self.conv_dots = []  # (left, right, out) of the convergence test
+        self.aff_dots = []   # ... of the affine-step complementarity
+
+        gi_parts = []
+        self.k_groups = [grp for grp in groups if grp.k]
+        b0 = v0 = k0 = g0 = c0 = 0
+        for grp in groups:
+            size, n_b, k_b, m_b, nb_b = grp.count, grp.n, grp.k, grp.m, grp.nb
+            b1, v1, k1 = b0 + size, v0 + size * n_b, k0 + size * k_b
+            g1, c1 = g0 + size * m_b, c0 + size * nb_b
+            metrics.observe("lp.shape_group", float(size))
+            offsets = g0 + m_b * np.arange(size)
+            gi_parts.append((grp.gi[:, 0] + offsets[:, None]).ravel())
+            if n_b:
+                left, right = self.dot_n[:, first:, v0:v1].reshape(
+                    2, 4 - first, size, n_b
+                )
+                self.conv_dots.append((left, right, self.dots[first:_SZ, b0:b1]))
+                aff = _RU - first
+                self.aff_dots.append(
+                    (left[:aff], right[:aff], self.dots[first:_RU, b0:b1])
+                )
+            if k_b:
+                left, right = self.dot_k[:, :, k0:k1].reshape(2, 3, size, k_b)
+                self.conv_dots.append((left, right, self.dots[_SZ:_RG, b0:b1]))
+                self.aff_dots.append((left[:1], right[:1], self.dots[_SZ:_RC, b0:b1]))
+            square = self.dot_g[:, g0:g1].reshape(1, size, m_b)
+            self.conv_dots.append((square, square, self.dots[_RG:, b0:b1]))
+            if nb_b and not self.all_bounded:
+                left, right = dot_wv[:, :, c0:c1].reshape(2, 1, size, nb_b)
+                out = self.dots[_WV:_XZ, b0:b1]
+                self.conv_dots.append((left, right, out))
+                self.aff_dots.append((left, right, out))
+            if k_b:
+                grp.v_in = self.v_in[v0:v1].reshape(size, n_b, 1)
+                grp.theta_in = self.v_in[v0:v1].reshape(size, 1, n_b)
+                grp.n_out = self.n_out[v0:v1].reshape(size, n_b, 1)
+                grp.k_in = self.k_in[k0:k1].reshape(size, k_b, 1)
+                grp.theta_s_in = self.k_in[k0:k1].reshape(size, k_b)
+                grp.k_out = self.k_out[k0:k1].reshape(size, k_b, 1)
+                grp.k_out2 = self.k_out2[k0:k1].reshape(size, k_b, 1)
+                grp.g_in = self.g_in[g0:g1].reshape(size, m_b, 1)
+                grp.g_out = self.g_out[g0:g1].reshape(size, m_b, 1)
+            b0, v0, k0, g0, c0 = b1, v1, k1, g1, c1
+        self.gi_off = np.concatenate(gi_parts)
+
+        # The Schur systems of equal-K runs (adjacent: the order is by K
+        # first) share one stack, solved by one ``np.linalg.solve``; each
+        # run builds its matrices in its own slice.
+        self.k_stacks = []
+        k0 = 0
+        for size_k, run in itertools.groupby(self.k_groups, key=lambda grp: grp.k):
+            run = list(run)
+            total = sum(grp.count for grp in run)
+            schur = np.empty((total, size_k, size_k))
+            diag = schur.reshape(total, size_k * size_k)[:, :: size_k + 1]
+            j = 0
+            for grp in run:
+                grp.schur = schur[j : j + grp.count]
+                grp.schur_diag = diag[j : j + grp.count]
+                j += grp.count
+            k1 = k0 + total * size_k
+            self.k_stacks.append((
+                schur,
+                self.rhs[k0:k1].reshape(total, size_k, 1),
+                self.k_in[k0:k1].reshape(total, size_k, 1),
+            ))
+            k0 = k1
 
     def spread(self, per_block: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         """Per-block values expanded to per-element (a batch of one
         broadcasts its length-1 array instead)."""
-        return per_block if len(self.blocks) == 1 else np.repeat(per_block, sizes)
+        return per_block if self.num_blocks == 1 else np.repeat(per_block, sizes)
 
-    def compact(self, keep: np.ndarray, n_arrays, k_arrays, g_arrays):
-        """The layout of the kept blocks, and each per-variable, per-coupling
-        and per-group array gathered down to the kept blocks' slices."""
+    def compact(self, keep: np.ndarray, n_arrays, k_arrays, g_arrays, b_arrays):
+        """The layout of the kept blocks, and each per-variable,
+        per-coupling, per-group and per-block array gathered down to the
+        kept blocks' slices (before the new layout reuses the buffers)."""
         keep_v = np.repeat(keep, self.n_sizes)
         keep_k = np.repeat(keep, self.k_sizes)
         keep_g = np.repeat(keep, self.g_sizes)
-        kept = _Layout(
-            [blk for blk, k in zip(self.blocks, keep) if k],
+        gathered = (
+            [a[keep_v] for a in n_arrays],
+            [a[keep_k] for a in k_arrays],
+            [a[keep_g] for a in g_arrays],
+            [a[keep] for a in b_arrays],
+        )
+        groups = []
+        b0 = 0
+        for grp in self.groups:
+            kept = keep[b0 : b0 + grp.count]
+            if kept.any():
+                groups.append(grp.take(kept))
+            grp.ut = grp.u = None  # free the last Schur build early
+            b0 += grp.count
+        lay = _Layout(
+            groups,
+            [a[keep] for a in self.per_block],
             self.c[keep_v],
             self.u[keep_v],
             self.group_rhs[keep_g],
             self.coupling_b[keep_k],
+            self.metrics,
+            self.pool,
         )
-        return (
-            kept,
-            [a[keep_v] for a in n_arrays],
-            [a[keep_k] for a in k_arrays],
-            [a[keep_g] for a in g_arrays],
-        )
+        return (lay,) + gathered
 
 
 def solve_structured_batch(
@@ -334,26 +491,39 @@ def solve_structured_batch(
     mega-problem and every Mehrotra iteration advances all of them at
     once.  Elementwise work (residuals, scaling, directions, updates) and
     the group ``bincount`` sums run on the concatenated state vectors.
-    The pieces that must not mix run per block: coupling matvecs, Schur
-    builds and complementarity/error dots on each block's contiguous
-    slice, so their BLAS summation order is the block's own.  Step-length
-    minima and the orthant test are ``np.minimum.reduceat`` over the
-    block offsets (a minimum is exact in any order), and the Schur systems
-    are solved stacked, one ``np.linalg.solve`` per coupling size K (a
-    stacked LAPACK solve equals the per-matrix one bit for bit).  Every
-    block therefore follows the **bit-identical iterate trajectory** of
-    its own :func:`solve_structured`.
+    The blocks are ordered by shape (K, n, m, bounded count), so blocks of
+    one shape form a contiguous run, a *shape group*.  The pieces that
+    must not mix run once per shape group as stacked calls on ``(B, …)``
+    views: coupling matvecs and Schur builds are ``np.matmul`` on stacks,
+    the complementarity and residual dots are ``np.vecdot``, the Schur
+    traces sum a prebuilt diagonal view (the reduction
+    ``np.trace(axis1=1, axis2=2)`` makes) and the per-group coupling sums
+    are one ``bincount`` with per-block offsets.  Each stacked item runs
+    the same BLAS kernel on the same memory layout as the block's own 2-D
+    call, so its summation order is the block's own.  Step-length minima
+    and the orthant test are ``np.minimum.reduceat`` over the block
+    offsets (a minimum is exact in any order), and the Schur systems are
+    solved stacked, one ``np.linalg.solve`` per coupling size K (a stacked
+    LAPACK solve equals the per-matrix one bit for bit).  The per-block μ, error and σ
+    arithmetic runs once over arrays of all blocks; only σ = (μ_aff/μ)³ is
+    taken with Python's float power, which ``ndarray ** 3`` does not
+    reproduce.  Every block therefore follows the **bit-identical iterate
+    trajectory** of its own :func:`solve_structured`, whatever shared its
+    shape group.  ``tests/test_lp_batch.py::TestStackedKernels`` pins the
+    stacked-equals-per-slice assumption for the installed numpy and BLAS.
 
     Compaction: a block that converges, or leaves the positive orthant,
     has its :class:`LPResult` recorded with its own iteration count and
     then leaves the state — the survivors' slices of every state vector
     (and of the residuals the iteration still uses) are gathered into
-    shorter vectors and the offsets, K-groups and buffers are rebuilt.
-    The loop thus sweeps only the active blocks: on one 625-block city
-    tile that is 424,800 element-iterations instead of the 4,387,500 a
-    full-width sweep would do.  The layout is rebuilt only when the
-    active set shrinks, so a batch of one never pays for it.  The loop
-    exits as soon as every block is frozen.
+    shorter vectors, and the shape groups' stacks, offsets and buffers are
+    rebuilt (a group that lost no block keeps its stacks).  The loop thus
+    sweeps only the active blocks: on one 625-block city tile that is
+    424,800 element-iterations instead of the 4,387,500 a full-width sweep
+    would do.  The layout is rebuilt only when the active set shrinks, so
+    a batch of one never pays for it.  The loop exits as soon as every
+    block is frozen.  Each layout build records its blocks per shape group
+    in the ``lp.shape_group`` histogram (``--stats``: ``shape groups``).
 
     In reference mode every block runs the seed solver on its own, so the
     differential baselines never see the lockstep loop.
@@ -365,47 +535,51 @@ def solve_structured_batch(
     """
     if not blocks:
         return []
-    if current_context().reference:
+    context = current_context()
+    if context.reference:
         return [solve_structured_reference(lp, options) for lp in blocks]
 
-    info: List[_Block] = []
-    for b, lp in enumerate(blocks):
-        blk = _Block()
-        blk.idx = b
-        blk.lp = lp
-        blk.n = lp.num_vars
-        blk.k = lp.num_coupling
-        blk.m = lp.num_groups
-        blk.r_mat = lp.coupling_a
-        bounded_b = np.isfinite(lp.upper)
-        blk.bounded = None if bool(bounded_b.all()) else bounded_b
-        blk.u_off = (
-            (np.arange(blk.k)[:, None] * blk.m + lp.group_index[None, :]).ravel()
-            if blk.k
-            else None
-        )
-        blk.schur_diag = np.diag_indices(blk.k) if blk.k else None
-        blk.norm_b = (
-            1.0
-            + float(np.linalg.norm(lp.group_rhs))
-            + float(np.linalg.norm(lp.coupling_b))
-        )
-        blk.norm_c = 1.0 + float(np.linalg.norm(lp.c))
-        blk.num_comp = blk.n + blk.k + int(bounded_b.sum())
-        blk.mu = 0.0
-        info.append(blk)
+    shapes = [
+        (lp.num_coupling, lp.num_vars, lp.num_groups, int(np.isfinite(lp.upper).sum()))
+        for lp in blocks
+    ]
+    order = sorted(range(len(blocks)), key=shapes.__getitem__)
+    groups = []
+    for shape, run in itertools.groupby(order, key=shapes.__getitem__):
+        members = [blocks[b] for b in run]
+        groups.append(_Group(
+            shape,
+            np.stack([lp.coupling_a for lp in members]) if shape[0] else None,
+            np.stack([lp.group_index for lp in members])[:, None, :],
+        ))
+    ordered = [blocks[b] for b in order]
     lay = _Layout(
-        info,
-        np.concatenate([lp.c for lp in blocks]),
-        np.concatenate([lp.upper for lp in blocks]),
-        np.concatenate([lp.group_rhs for lp in blocks]),
-        np.concatenate([lp.coupling_b for lp in blocks]),
+        groups,
+        [
+            np.array(order),
+            np.array([
+                1.0
+                + float(np.linalg.norm(lp.group_rhs))
+                + float(np.linalg.norm(lp.coupling_b))
+                for lp in ordered
+            ]),
+            np.array([1.0 + float(np.linalg.norm(lp.c)) for lp in ordered]),
+        ],
+        np.concatenate([lp.c for lp in ordered]),
+        np.concatenate([lp.upper for lp in ordered]),
+        np.concatenate([lp.group_rhs for lp in ordered]),
+        np.concatenate([lp.coupling_b for lp in ordered]),
+        context.telemetry.metrics,
     )
 
     def masked(values: np.ndarray, fill: float) -> np.ndarray:
         # Identity when every variable is bounded (the real-workload case),
         # per-element identical to each block's own where_bounded otherwise.
         return values if lay.all_bounded else np.where(lay.bounded, values, fill)
+
+    def bounded_only(values: np.ndarray) -> np.ndarray:
+        # The bounded entries, in block order (each block's w[bounded]).
+        return values if lay.all_bounded else values[lay.bounded]
 
     # ---- starting point (same expressions as the seed solver) -----------
     bounded, u = lay.bounded, lay.u
@@ -438,11 +612,20 @@ def solve_structured_batch(
         minima = _segment_min(
             np.where(falling, neg_values / deltas, inf), *lay.step_seg
         ).reshape(2, 3, -1)
-        alpha = 1.0
+        alpha = np.empty(minima.shape[::2])
+        alpha.fill(1.0)
         for family in range(3):
             m = minima[:, family]
-            alpha = np.where(m < alpha, m, alpha)
+            np.copyto(alpha, m, where=m < alpha)
         return alpha
+
+    def complementarity(dots_list):
+        """Fill the dot rows, one ``np.vecdot`` per shape group and family;
+        returns each block's (x·z + s·z_s + w·v) / num_comp."""
+        for left, right, out in dots_list:
+            np.vecdot(left, right, out=out)
+        dots = lay.dots
+        return (dots[_XZ] + dots[_SZ] + dots[_WV]) / lay.num_comp
 
     # One errstate for the whole solve: the scaling divisions may
     # overflow/divide harmlessly (they are clipped right after), and the
@@ -451,89 +634,82 @@ def solve_structured_batch(
     # warnings; no numerics change.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for iteration in range(1, options.max_iterations + 1):
-            active = lay.blocks
-
-            # ---- residuals: per-block matvecs + global elementwise ------
-            mv, at_y = lay.mv, lay.at_y
-            for blk in lay.k_blocks:
-                mv[blk.ks] = blk.r_mat @ x[blk.sl]
-                at_y[blk.sl] = blk.r_mat.T @ y_r[blk.ks]
-            r_groups = (
-                np.bincount(lay.gi_off, weights=x, minlength=lay.g_tot)
-                - lay.group_rhs
+            # ---- residuals: stacked matvecs + global elementwise --------
+            lay.v_in[...] = x
+            lay.k_in[...] = y_r
+            for grp in lay.k_groups:
+                np.matmul(grp.r_mat, grp.v_in, out=grp.k_out)
+                np.matmul(grp.r_t, grp.k_in, out=grp.n_out)
+            # The residuals land in their dot rows, which nothing else
+            # writes before the next iteration.
+            r_groups = np.subtract(
+                np.bincount(lay.gi_off, weights=x, minlength=lay.g_tot),
+                lay.group_rhs,
+                out=lay.rg_row,
             )
-            r_coupling = mv + s - lay.coupling_b
+            r_coupling = np.subtract(lay.k_out + s, lay.coupling_b, out=lay.rc_row)
             r_upper = masked(x + w - lay.u, 0.0)
-            r_dual_x = at_y + y_g[lay.gi_off] + z - v - lay.c
-            r_dual_s = y_r + z_s
+            r_dual_x = np.subtract(
+                lay.n_out + y_g[lay.gi_off] + z - v, lay.c, out=lay.rdx_row
+            )
+            r_dual_s = np.add(y_r, z_s, out=lay.rds_row)
 
             # ---- per-block convergence (own mu / residual norms) --------
-            keep = []
-            for blk in active:
-                sl, ks, gs = blk.sl, blk.ks, blk.gs
-                if blk.bounded is None:
-                    wb, vb = w[sl], v[sl]
-                else:
-                    wb, vb = w[sl][blk.bounded], v[sl][blk.bounded]
-                mu_b = (
-                    float(x[sl] @ z[sl])
-                    + float(s[ks] @ z_s[ks])
-                    + float(wb @ vb)
-                ) / blk.num_comp
-                rg = r_groups[gs]
-                rc = r_coupling[ks]
-                ru = r_upper[sl]
-                primal_err = (
-                    math.sqrt(float(rg @ rg))
-                    + math.sqrt(float(rc @ rc))
-                    + math.sqrt(float(ru @ ru))
-                ) / blk.norm_b
-                rdx = r_dual_x[sl]
-                rds = r_dual_s[ks]
-                dual_err = (
-                    math.sqrt(float(rdx @ rdx)) + math.sqrt(float(rds @ rds))
-                ) / blk.norm_c
-                converged = max(primal_err, dual_err, mu_b) < tolerance
-                if converged:
-                    solution = x[sl].copy()
-                    results[blk.idx] = LPResult(
+            lay.w_row[...], lay.v_row[...] = bounded_only(w), bounded_only(v)
+            lay.x_row[...], lay.z_row[...], lay.ru_row[...] = x, z, r_upper
+            lay.s_row[...], lay.zs_row[...] = s, z_s
+            for right, left in lay.squares:
+                right[...] = left
+            mu = complementarity(lay.conv_dots)
+            root = np.sqrt(lay.dots)
+            primal_err = (root[_RG] + root[_RC] + root[_RU]) / lay.norm_b
+            dual_err = (root[_RDX] + root[_RDS]) / lay.norm_c
+            # Python's max(primal_err, dual_err, mu) < tolerance: a later
+            # value replaces the running one only if strictly larger, so a
+            # NaN dual error or mu is skipped and a NaN primal error blocks.
+            converged = (primal_err < tolerance) & ~(
+                np.fmax(dual_err, mu) >= tolerance
+            )
+            frozen = np.count_nonzero(converged)
+            if frozen:
+                for b in np.flatnonzero(converged).tolist():
+                    solution = x[lay.v_off[b] : lay.v_off[b + 1]].copy()
+                    index = int(lay.idx[b])
+                    results[index] = LPResult(
                         status=LPStatus.OPTIMAL,
                         x=solution,
-                        objective=blk.lp.objective(solution),
+                        objective=blocks[index].objective(solution),
                         iterations=iteration - 1,
                         backend=_BACKEND_NAME,
                     )
-                else:
-                    blk.mu = mu_b
-                keep.append(not converged)
-            if not all(keep):
-                if not any(keep):
+                if frozen == lay.num_blocks:
                     break
                 (
                     lay,
                     (x, w, z, v, r_upper, r_dual_x),
                     (s, z_s, y_r, r_coupling, r_dual_s),
                     (y_g, r_groups),
+                    (mu,),
                 ) = lay.compact(
-                    np.array(keep),
+                    ~converged,
                     (x, w, z, v, r_upper, r_dual_x),
                     (s, z_s, y_r, r_coupling, r_dual_s),
                     (y_g, r_groups),
+                    (mu,),
                 )
-                active = lay.blocks
-            k_blocks = lay.k_blocks
             gi_off = lay.gi_off
             neg_values = -np.concatenate((x, s, w, z, z_s, v))
 
-            # ---- scaling (global) + Schur complements (per block) -------
+            # ---- scaling (global) + Schur complements (stacked) ---------
             x_safe = np.maximum(x, 1e-300)
             w_safe = np.maximum(w, 1e-300)
             s_safe = np.maximum(s, 1e-300)
             v_over_w = v / w_safe
             d_x = z / x_safe + masked(v_over_w, 0.0)
             d_s = z_s / s_safe
-            theta_x = 1.0 / np.clip(d_x, 1e-12, 1e12)
-            theta_s = 1.0 / np.clip(d_s, 1e-12, 1e12)
+            # np.clip's value, without its Python-level dispatch.
+            theta_x = 1.0 / np.minimum(np.maximum(d_x, 1e-12), 1e12)
+            theta_s = 1.0 / np.minimum(np.maximum(d_s, 1e-12), 1e12)
             diag_g = np.maximum(
                 np.bincount(gi_off, weights=theta_x, minlength=lay.g_tot), 1e-300
             )
@@ -541,52 +717,54 @@ def solve_structured_batch(
             neg_r_coupling = -r_coupling
             vw_r_upper = v_over_w * r_upper
 
-            for blk in k_blocks:
-                rt = blk.r_mat * theta_x[blk.sl]
-                u_block = (
-                    np.bincount(
-                        blk.u_off, weights=rt.ravel(), minlength=blk.m * blk.k
-                    )
-                    .reshape(blk.k, blk.m)
-                    .T
-                )
-                schur = rt @ blk.r_mat.T
-                schur[blk.schur_diag] += theta_s[blk.ks]
-                schur -= u_block.T @ (u_block / diag_g[blk.gs][:, None])
-                schur[blk.schur_diag] += 1e-12 * (
-                    1.0 + schur.trace() / max(blk.k, 1)
-                )
-                blk.rt = rt
-                blk.u_block = u_block
-                blk.schur[...] = schur
+            lay.v_in[...] = theta_x
+            lay.k_in[...] = theta_s
+            lay.g_in[...] = diag_g
+            for grp in lay.k_groups:
+                rt = np.multiply(grp.r_mat, grp.theta_in, out=grp.rt)
+                # Block b's row k, variable j adds into bin (b·K + k)·m +
+                # gi[j]: each block's own ``bincount`` order.  ut[b] is its
+                # u_block.T, u_block[b] its F-ordered u_block.
+                ut = np.bincount(
+                    (grp.u_rows + grp.gi).ravel(),
+                    weights=rt.ravel(),
+                    minlength=grp.u_len,
+                ).reshape(grp.count, grp.k, grp.m)
+                u_block = ut.transpose(0, 2, 1)
+                schur = grp.schur
+                np.matmul(rt, grp.r_t, out=schur)
+                grp.schur_diag += grp.theta_s_in
+                schur -= np.matmul(ut, u_block / grp.g_in)
+                # The diagonal view's row sums are np.trace(axis1=1, axis2=2).
+                trace = np.add.reduce(grp.schur_diag, axis=1)
+                grp.schur_diag += (1e-12 * (1.0 + trace / grp.k))[:, None]
+                grp.ut, grp.u = ut, u_block
 
             def newton(rxz, rwv, rsz):
                 """One lockstep KKT solve for given complementarity residuals."""
-                g_x = r_dual_x - rxz / x_safe
-                g_x = g_x + masked(rwv / w_safe - vw_r_upper, 0.0)
+                g_x = np.add(
+                    r_dual_x - rxz / x_safe,
+                    masked(rwv / w_safe - vw_r_upper, 0.0),
+                    out=lay.v_in,
+                )
                 rhs_g = neg_r_groups - np.bincount(
                     gi_off, weights=theta_x * g_x, minlength=lay.g_tot
                 )
                 g_s = r_dual_s - rsz / s_safe
-                rtgx = lay.rtgx
-                for blk in k_blocks:
-                    rtgx[blk.ks] = blk.rt @ g_x[blk.sl]
-                rhs_r = neg_r_coupling - rtgx - theta_s * g_s
-                dg_inv_rhs = rhs_g / diag_g
-                for blk in k_blocks:
-                    blk.rhs[...] = (
-                        rhs_r[blk.ks] - blk.u_block.T @ dg_inv_rhs[blk.gs]
-                    )
-                dy_r = lay.dy_r
-                for k_idx, schur, rhs in lay.k_groups:
-                    dy_r[k_idx] = np.linalg.solve(schur, rhs[..., None]).ravel()
-                ub_dyr, at_dyr = lay.ub_dyr, lay.at_dyr
-                for blk in k_blocks:
-                    dy_b = dy_r[blk.ks]
-                    ub_dyr[blk.gs] = blk.u_block @ dy_b
-                    at_dyr[blk.sl] = blk.r_mat.T @ dy_b
-                dy_g = (rhs_g - ub_dyr) / diag_g
-                at_dy = dy_g[gi_off] + at_dyr
+                np.divide(rhs_g, diag_g, out=lay.g_in)
+                for grp in lay.k_groups:
+                    np.matmul(grp.rt, grp.v_in, out=grp.k_out)
+                    np.matmul(grp.ut, grp.g_in, out=grp.k_out2)
+                rhs_r = neg_r_coupling - lay.k_out - theta_s * g_s
+                np.subtract(rhs_r, lay.k_out2, out=lay.rhs)
+                for schur, rhs, dy in lay.k_stacks:
+                    dy[...] = np.linalg.solve(schur, rhs)
+                dy_r = lay.k_in
+                for grp in lay.k_groups:
+                    np.matmul(grp.u, grp.k_in, out=grp.g_out)
+                    np.matmul(grp.r_t, grp.k_in, out=grp.n_out)
+                dy_g = (rhs_g - lay.g_out) / diag_g
+                at_dy = dy_g[gi_off] + lay.n_out
                 dx = theta_x * (at_dy + g_x)
                 dz = -(rxz + z * dx) / x_safe
                 dw = masked(-r_upper - dx, 0.0)
@@ -604,35 +782,24 @@ def solve_structured_batch(
             ap_a, ad_a = block_steps(
                 neg_values, dx_a, ds_a, dw_a, dz_a, dzs_a, dv_a
             )
-            sigma_mu = []
-            for blk, ap_b, ad_b in zip(active, ap_a.tolist(), ad_a.tolist()):
-                sl, ks = blk.sl, blk.ks
-                xa = x[sl] + ap_b * dx_a[sl]
-                za = z[sl] + ad_b * dz_a[sl]
-                if blk.bounded is None:
-                    wb, dwb = w[sl], dw_a[sl]
-                    vb, dvb = v[sl], dv_a[sl]
-                else:
-                    bb = blk.bounded
-                    wb, dwb = w[sl][bb], dw_a[sl][bb]
-                    vb, dvb = v[sl][bb], dv_a[sl][bb]
-                mu_aff = (
-                    float(xa @ za)
-                    + (
-                        float(
-                            (s[ks] + ap_b * ds_a[ks])
-                            @ (z_s[ks] + ad_b * dzs_a[ks])
-                        )
-                        if blk.k
-                        else 0.0
-                    )
-                    + float((wb + ap_b * dwb) @ (vb + ad_b * dvb))
-                ) / blk.num_comp
-                sigma = (mu_aff / blk.mu) ** 3 if blk.mu > 0 else 0.0
-                sigma_mu.append(sigma * blk.mu)
+            ap_v = lay.spread(ap_a, lay.n_sizes)
+            ad_v = lay.spread(ad_a, lay.n_sizes)
+            ap_k = lay.spread(ap_a, lay.k_sizes)
+            ad_k = lay.spread(ad_a, lay.k_sizes)
+            lay.w_row[...] = bounded_only(w + ap_v * dw_a)
+            lay.v_row[...] = bounded_only(v + ad_v * dv_a)
+            np.add(x, ap_v * dx_a, out=lay.x_row)
+            np.add(z, ad_v * dz_a, out=lay.z_row)
+            np.add(s, ap_k * ds_a, out=lay.s_row)
+            np.add(z_s, ad_k * dzs_a, out=lay.zs_row)
+            mu_aff = complementarity(lay.aff_dots)
+            sigma = np.array([
+                ratio ** 3 if mu_b > 0 else 0.0
+                for ratio, mu_b in zip((mu_aff / mu).tolist(), mu.tolist())
+            ])
 
             # ---- corrector ----------------------------------------------
-            sm_blocks = np.array(sigma_mu)
+            sm_blocks = sigma * mu
             sm_v = lay.spread(sm_blocks, lay.n_sizes)
             sm_k = lay.spread(sm_blocks, lay.k_sizes)
             rxz = rxz_aff + dx_a * dz_a - sm_v
@@ -665,10 +832,10 @@ def solve_structured_batch(
             outside = _segment_min(
                 np.concatenate((x, z, s, z_s)), *lay.orthant_seg
             ) <= 0
-            if outside.any():
+            if np.count_nonzero(outside):
                 left = outside.reshape(4, -1).any(axis=0)
-                for blk in itertools.compress(active, left):
-                    results[blk.idx] = LPResult(
+                for b in np.flatnonzero(left).tolist():
+                    results[int(lay.idx[b])] = LPResult(
                         status=LPStatus.NUMERICAL_ERROR,
                         x=None,
                         objective=float("nan"),
@@ -676,10 +843,10 @@ def solve_structured_batch(
                         backend=_BACKEND_NAME,
                         message="iterate left the positive orthant",
                     )
-                if left.all():
+                if np.count_nonzero(left) == lay.num_blocks:
                     break
-                lay, (x, w, z, v), (s, z_s, y_r), (y_g,) = lay.compact(
-                    ~left, (x, w, z, v), (s, z_s, y_r), (y_g,)
+                lay, (x, w, z, v), (s, z_s, y_r), (y_g,), _ = lay.compact(
+                    ~left, (x, w, z, v), (s, z_s, y_r), (y_g,), ()
                 )
 
     for b, result in enumerate(results):

@@ -34,8 +34,15 @@ from repro.lp.structured import (
     solve_structured,
     solve_structured_batch,
 )
+from repro.experiments import figures
+from repro.system.sharding import ShardSpec
 from repro.workload import PAPER_DEFAULTS, generate_scenario
-from tests.test_ladder_fixtures import BLOCKS as LADDER_BLOCKS, load_block
+from repro.workload.streaming import generate_tile
+from tests.test_ladder_fixtures import (
+    BLOCKS as LADDER_BLOCKS,
+    SIMPLEX_BLOCK,
+    load_block,
+)
 
 
 def _random_grouped(rng: np.random.Generator, num_groups: int) -> GroupedBoundedLP:
@@ -223,6 +230,252 @@ class TestCompactedFreezePaths:
                 for result in left
             )
             assert len(left) < len(blocks)
+
+
+def _fixed_shape(rng, k, num_groups, free=0):
+    """A feasible block of a given shape: ``num_groups`` groups of three
+    variables, ``k`` coupling rows and ``free`` unbounded variables; only
+    the values vary between two calls."""
+    n = 3 * num_groups
+    group_index = np.repeat(np.arange(num_groups), 3)
+    upper = rng.uniform(0.5, 1.5, size=n)
+    upper[rng.permutation(n)[:free]] = np.inf
+    coupling_a = (rng.random((k, n)) < 0.5) * rng.uniform(0.5, 2.0, (k, n))
+    coupling_b = coupling_a @ np.full(n, 1.0 / 3.0) + rng.uniform(0.1, 1.0, k)
+    return GroupedBoundedLP(
+        c=rng.uniform(0.5, 10.0, size=n),
+        group_index=group_index,
+        group_rhs=np.ones(num_groups),
+        coupling_a=coupling_a if k else None,
+        coupling_b=coupling_b if k else None,
+        upper=upper,
+    )
+
+
+def _assert_block_bytes(batched, alone):
+    """Status, iterations, message and the bytes of ``x`` all equal."""
+    assert batched.status is alone.status
+    assert batched.iterations == alone.iterations
+    assert batched.message == alone.message
+    if alone.x is None:
+        assert batched.x is None
+    else:
+        assert batched.x.tobytes() == alone.x.tobytes()
+
+
+def _captured_step1_batches(run):
+    """Every block list Step 1 hands the structured solver during ``run()``."""
+    batches = []
+    solve = hta.solve_structured_batch
+
+    def capture(blocks, *args, **kwargs):
+        batches.append(list(blocks))
+        return solve(blocks, *args, **kwargs)
+
+    with mock.patch.object(hta, "solve_structured_batch", capture):
+        run()
+    return batches
+
+
+class TestShapeGroups:
+    """Same-shape blocks are stacked into one group and solved by stacked
+    calls; each must still replay its solve alone, bit for bit.
+
+    The batch interleaves, in input order, a run of four equal-shape fully
+    bounded blocks with a K = 0 run, a block with free variables, the three
+    ladder fixtures (200-iteration stragglers) and random ragged blocks.
+    Under the largest step fraction below 1 some blocks leave the positive
+    orthant instead of converging.
+    """
+
+    @staticmethod
+    def _batch():
+        rng = np.random.default_rng(5)
+        coupled = [_fixed_shape(rng, 2, 4) for _ in range(4)]
+        uncoupled = [_fixed_shape(rng, 0, 3) for _ in range(3)]
+        free = _fixed_shape(rng, 1, 5, free=2)
+        ladder = [
+            build_p2_structured(*load_block(name)).lp
+            for name in LADDER_BLOCKS + (SIMPLEX_BLOCK,)
+        ]
+        randoms = [_random_grouped(rng, int(g)) for g in (3, 9, 5, 14)]
+        return [
+            coupled[0], uncoupled[0], free, ladder[0], coupled[1], randoms[0],
+            uncoupled[1], coupled[2], ladder[1], randoms[1], randoms[2],
+            coupled[3], ladder[2], uncoupled[2], randoms[3],
+        ]
+
+    @pytest.mark.parametrize(
+        "step_fraction", [StructuredIPMOptions().step_fraction, np.nextafter(1.0, 0.0)]
+    )
+    def test_every_block_replays_its_solve_alone_in_both_orders(self, step_fraction):
+        options = StructuredIPMOptions(step_fraction=float(step_fraction))
+        blocks = self._batch()
+        alone = [solve_structured(block, options) for block in blocks]
+        for order in (blocks, blocks[::-1]):
+            expected = alone if order is blocks else alone[::-1]
+            context = RunContext()
+            with use_context(context):
+                batched = solve_structured_batch(order, options)
+            for b, s in zip(batched, expected):
+                _assert_block_bytes(b, s)
+            # The four coupled blocks and the three uncoupled ones were
+            # stacked: the first layout's largest group held four.
+            groups = context.telemetry.metrics.histogram("lp.shape_group")
+            assert groups.max == 4
+        statuses = {result.status for result in alone}
+        assert LPStatus.ITERATION_LIMIT in statuses  # the ladder stragglers
+        if step_fraction == StructuredIPMOptions().step_fraction:
+            assert LPStatus.NUMERICAL_ERROR not in statuses
+        else:
+            assert LPStatus.NUMERICAL_ERROR in statuses
+
+    def test_stats_line_counts_blocks_per_group(self):
+        blocks = self._batch()[:3]  # one coupled, one uncoupled, one free
+        context = RunContext()
+        with use_context(context):
+            solve_structured_batch(blocks + blocks)
+        telemetry = context.telemetry
+        assert telemetry.shape_groups >= 3
+        first = telemetry.metrics.histogram("lp.shape_group")
+        assert first.max == 2 and first.min >= 1
+        assert "shape groups" in telemetry.summary()
+
+
+class TestStepOneBlocks:
+    """Real P2 blocks: the array generator's layouts, batched and alone."""
+
+    def test_streamed_city_tile_blocks(self):
+        profile = PAPER_DEFAULTS.with_updates(
+            num_devices=400, num_stations=40, num_tasks=800
+        )
+        tile = generate_tile(profile, ShardSpec.balanced(range(40), 2), 0, seed=0)
+        (blocks, *_) = _captured_step1_batches(
+            lambda: lp_hta(tile.system, list(tile.tasks), context=RunContext())
+        )
+        self._check(blocks)
+
+    def test_fig2a_column_blocks(self):
+        # A fresh context: an earlier run's result store would serve the cells.
+        def run():
+            with use_context(RunContext()):
+                figures.fig2a(seeds=(0,))
+
+        batches = _captured_step1_batches(run)
+        self._check(max(batches, key=len))
+
+    @staticmethod
+    def _check(blocks):
+        assert len(blocks) > 1
+        shapes = {(lp.num_coupling, lp.num_vars) for lp in blocks}
+        assert len(shapes) < len(blocks)  # some blocks share a group
+        with use_context(RunContext()):
+            batched = solve_structured_batch(blocks)
+            for block, result in zip(blocks, batched):
+                _assert_block_bytes(result, solve_structured(block))
+
+
+class TestStackedKernels:
+    """Platform assumption behind the bit-identical shape groups.
+
+    Each stacked call the lockstep loop makes on a ``(B, …)`` group must
+    return, item for item, the bits of the 2-D or 1-D call a block alone
+    would make: numpy has to hand every stacked item to the same BLAS or
+    LAPACK kernel with the same memory layout.  A numpy or BLAS upgrade
+    that breaks this fails here, by name, instead of moving a benchmark
+    digest without explanation.
+    """
+
+    N, M = 60, 20
+
+    @pytest.fixture(params=[1, 3, 625], ids=lambda b: f"B{b}")
+    def count(self, request):
+        return request.param
+
+    @pytest.fixture(params=[0, 1, 11], ids=lambda k: f"K{k}")
+    def k(self, request):
+        return request.param
+
+    @staticmethod
+    def _same(stacked, per_slice):
+        per_slice = np.array(per_slice).reshape(stacked.shape)
+        assert stacked.tobytes() == per_slice.tobytes()
+
+    def test_matmul_items_equal_per_slice_products(self, count, k):
+        rng = np.random.default_rng(count * 100 + k)
+        n, m = self.N, self.M
+        r_mat = rng.standard_normal((count, k, n)) * 10.0 ** rng.uniform(-3, 3, (count, k, n))
+        x = rng.standard_normal((count, n))
+        y = rng.standard_normal((count, k))
+        theta = rng.uniform(0.1, 10.0, (count, 1, n))
+        rt = r_mat * theta
+        # u_block[b] is F-ordered, as bincount(...).reshape(k, m).T makes it.
+        ut = rng.standard_normal((count, k, m))
+        u_block = ut.transpose(0, 2, 1)
+        dg = rng.uniform(0.1, 10.0, (count, m, 1))
+        g = rng.standard_normal((count, m))
+        r_t = r_mat.transpose(0, 2, 1)
+        items = range(count)
+        self._same(np.matmul(r_mat, x[..., None]), [r_mat[b] @ x[b] for b in items])
+        self._same(np.matmul(r_t, y[..., None]), [r_mat[b].T @ y[b] for b in items])
+        self._same(np.matmul(rt, r_t), [rt[b] @ r_mat[b].T for b in items])
+        self._same(
+            np.matmul(ut, u_block / dg),
+            [u_block[b].T @ (u_block[b] / dg[b]) for b in items],
+        )
+        self._same(np.matmul(ut, g[..., None]), [u_block[b].T @ g[b] for b in items])
+        self._same(np.matmul(u_block, y[..., None]), [u_block[b] @ y[b] for b in items])
+        out = np.empty((count, k, 1))
+        np.matmul(r_mat, x[..., None], out=out)
+        self._same(out, [r_mat[b] @ x[b] for b in items])
+
+    def test_vecdot_equals_per_slice_dot(self, count, k):
+        rng = np.random.default_rng(count * 100 + k + 1)
+        for size in (self.N, k):
+            a = rng.standard_normal((3, count, size))
+            b = rng.standard_normal((3, count, size))
+            out = np.empty((3, count))
+            np.vecdot(a, b, out=out)
+            self._same(
+                out,
+                [[float(a[r, i] @ b[r, i]) for i in range(count)] for r in range(3)],
+            )
+
+    def test_trace_and_solve_equal_per_slice_calls(self, count, k):
+        rng = np.random.default_rng(count * 100 + k + 2)
+        schur = rng.standard_normal((count, k, k)) * 10.0 ** rng.uniform(-3, 3, (count, k, k))
+        items = range(count)
+        traces = [schur[b].trace() for b in items]
+        self._same(np.trace(schur, axis1=1, axis2=2), traces)
+        # The loop sums a prebuilt diagonal view, which is what np.trace reduces.
+        diag = schur.reshape(count, k * k)[:, :: k + 1]
+        self._same(np.add.reduce(diag, axis=1), traces)
+        if k:
+            spd = np.matmul(schur, schur.transpose(0, 2, 1)) + np.eye(k)
+            rhs = rng.standard_normal((count, k, 1))
+            self._same(
+                np.linalg.solve(spd, rhs),
+                [np.linalg.solve(spd[b], rhs[b, :, 0]) for b in items],
+            )
+
+    def test_offset_bincount_equals_per_block_bincount(self, count, k):
+        rng = np.random.default_rng(count * 100 + k + 3)
+        n, m = self.N, self.M
+        gi = rng.integers(0, m, (count, 1, n))
+        rt = rng.standard_normal((count, k, n))
+        rows = np.arange(count * k).reshape(count, k, 1) * m
+        stacked = np.bincount(
+            (rows + gi).ravel(), weights=rt.ravel(), minlength=count * k * m
+        )
+        per_block = [
+            np.bincount(
+                (np.arange(k)[:, None] * m + gi[b]).ravel(),
+                weights=rt[b].ravel(),
+                minlength=k * m,
+            )
+            for b in range(count)
+        ]
+        self._same(stacked, per_block)
 
 
 class TestInteriorPointBatch:
