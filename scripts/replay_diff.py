@@ -3,7 +3,10 @@
 Prints one JSON document covering both compiled kernels on a fixed
 scenario: the generated tasks (every float of the array generator's
 draws) and the replayed :class:`RealizedMetrics` of an LP-HTA assignment
-under four replay modes (dedicated, contended, each with outages).
+under four replay modes (dedicated, contended, each with outages).  Only
+the dedicated mode has a compiled form (the closed form of
+:mod:`repro.des.engine`); the other three run the closure kernel either
+way.
 ``json`` renders floats with ``repr`` — shortest round-trip — so two
 documents are byte-identical iff every float is bit-identical.
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 __all__ = [
     "LPSolveCache",
-    "fingerprint_batch",
     "fingerprint_grouped",
     "fingerprint_problem",
 ]
@@ -98,21 +97,6 @@ def fingerprint_grouped(lp: "GroupedBoundedLP", method: str) -> str:
     return digest.hexdigest()
 
 
-def fingerprint_batch(keys: Sequence[str]) -> str:
-    """One key for a whole block-diagonal batch of LP instances.
-
-    Hashes the *sorted* per-block fingerprints, so two batches containing
-    the same multiset of blocks share a key regardless of block order —
-    block order cannot change any per-block result (blocks are independent
-    by construction).
-    """
-    digest = hashlib.sha256()
-    digest.update(b"<batch>")
-    for key in sorted(keys):
-        digest.update(key.encode())
-    return digest.hexdigest()
-
-
 class LPSolveCache:
     """LRU cache of LP results keyed by problem fingerprint.
 
@@ -131,12 +115,7 @@ class LPSolveCache:
         self.capacity = capacity
         self.stats = CacheStats()
         self.telemetry = telemetry
-        # Per-block entries map fingerprint -> LPResult; whole-batch
-        # entries (see lookup_batch) map a batch fingerprint -> a dict of
-        # its per-block entries.  Both kinds share one LRU budget.
-        self._entries: "OrderedDict[str, Union[LPResult, Dict[str, LPResult]]]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[str, LPResult]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -160,50 +139,6 @@ class LPSolveCache:
         if key in self._entries:
             self._entries.move_to_end(key)
         self._entries[key] = result
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-
-    def lookup_batch(self, keys: Sequence[str]) -> Optional[List["LPResult"]]:
-        """Whole-batch lookup: all blocks at once, or ``None``.
-
-        The batch is keyed by :func:`fingerprint_batch` over the per-block
-        ``keys``; a hit returns the stored results re-aligned to the input
-        order (the batch entry stores a per-block-key mapping, so two
-        batches with the same blocks in different order both hit).  Counted
-        separately from per-block lookups (``lp.batch_cache.*`` counters); a
-        miss here costs one dict probe, after which callers fall back to
-        per-block :meth:`lookup` calls to salvage a subset.
-        """
-        batch_key = fingerprint_batch(keys)
-        entry = self._entries.get(batch_key)
-        hit = isinstance(entry, dict) and all(key in entry for key in keys)
-        if self.telemetry is not None:
-            self.telemetry.metrics.incr(
-                "lp.batch_cache.hits" if hit else "lp.batch_cache.misses"
-            )
-        if not hit:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        self._entries.move_to_end(batch_key)
-        assert isinstance(entry, dict)
-        return [entry[key] for key in keys]
-
-    def insert_batch(self, keys: Sequence[str], results: Sequence["LPResult"]) -> None:
-        """Store a solved batch: the whole-batch entry plus each block.
-
-        Per-block results are inserted individually too, so a later batch
-        sharing only *some* blocks still gets per-block subset hits.
-        """
-        if len(keys) != len(results):
-            raise ValueError("keys and results must have equal length")
-        for key, result in zip(keys, results):
-            self.insert(key, result)
-        batch_key = fingerprint_batch(keys)
-        if batch_key in self._entries:
-            self._entries.move_to_end(batch_key)
-        self._entries[batch_key] = dict(zip(keys, results))
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1

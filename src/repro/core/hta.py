@@ -310,13 +310,10 @@ def _solve_batched(
     """Solve one rung's blocks as a batch, through the LP solve cache.
 
     Cache interaction (off in reference mode, so benchmark baselines stay
-    honest): a whole-batch fingerprint is probed first
-    (:meth:`~repro.caching.lp_cache.LPSolveCache.lookup_batch`), then
-    per-block keys, so a repeated sweep column skips the solve in one
-    lookup while a partially-overlapping batch still reuses every block it
-    can.  A batch of one probes and stores only its block key: a
-    whole-batch key would duplicate it and halve the cache for
-    single-cluster callers.  Only successful results are stored.
+    honest): every block is probed by its own key, so a repeated sweep
+    column is served entirely from the cache while a partially-overlapping
+    batch still reuses every block it can.  Only successful results are
+    stored.
 
     :param problems: the built blocks (the ``build`` stage times them).
     :param solve_batch: the backend's batch solver: the structured lockstep
@@ -333,19 +330,6 @@ def _solve_batched(
     keys: List[str] = []
     if cache is not None:
         keys = [fingerprint(problem, backend) for problem in problems]
-        if len(keys) > 1:
-            lookup_start = time.perf_counter()
-            whole = cache.lookup_batch(keys)
-            if whole is not None:
-                share = (time.perf_counter() - lookup_start) / len(keys)
-                for _ in whole:
-                    # Each block is a cache-served solve, so the per-solve
-                    # counters stay comparable with a fresh solve.
-                    context.telemetry.metrics.incr("lp.cache.hits")
-                    context.telemetry.record_solve(
-                        wall_time_s=share, iterations=0, cache_hit=True
-                    )
-                return whole
         for index, key in enumerate(keys):
             lookup_start = time.perf_counter()
             hit = cache.lookup(key)
@@ -374,16 +358,9 @@ def _solve_batched(
             results[index] = result
     done: List[LPResult] = results  # type: ignore[assignment]
     if cache is not None:
-        if len(keys) > 1 and all(result.status.ok for result in done):
-            # Store the whole column (per-block hits re-inserted unchanged)
-            # so an identical batch later hits in one probe — including
-            # when this batch itself was assembled purely from per-block
-            # subset hits.
-            cache.insert_batch(keys, done)
-        else:
-            for index in pending:
-                if done[index].status.ok:
-                    cache.insert(keys[index], done[index])
+        for index in pending:
+            if done[index].status.ok:
+                cache.insert(keys[index], done[index])
     return done
 
 

@@ -11,18 +11,23 @@ formulas can be *checked* rather than trusted:
   replay shows the queueing the analytic model abstracts away — an
   extension the ablation benches exercise.
 
-Two engines execute the replay: the closure-chained object simulator in
-:mod:`repro.des.replay` (the reference) and the compiled struct-of-arrays
-engine in :mod:`repro.des.engine` (the default).  They are
-differentially tested to produce bit-identical :class:`RealizedMetrics`.
-``HAVE_NUMBA`` is always ``False``: there is no jit backend, and the
-constant stays only for the benchmark regime stamps that read it.
+One event engine executes the replay: the closure-chained simulator in
+:mod:`repro.des.replay`, which every contended or outage replay runs.  A
+dedicated replay with no outage windows has no shared state, so outside
+reference mode :mod:`repro.des.engine` evaluates it in closed form; the
+two are differentially tested to produce bit-identical
+:class:`RealizedMetrics`.  ``HAVE_NUMBA`` is always ``False``: there is
+no jit backend, and the constant stays only for the benchmark regime
+stamps that read it.
 """
 
-from repro.des.engine import HAVE_NUMBA
 from repro.des.kernel import EventSimulator
 from repro.des.resources import FIFOResource
 from repro.des.replay import RealizedMetrics, replay_assignment
+
+#: The replay has no compiled backend; kept as a constant because
+#: benchmark regime stamps import it.
+HAVE_NUMBA = False
 
 __all__ = [
     "EventSimulator",

@@ -18,10 +18,10 @@ __all__ = ["EventSimulator", "clamp_to_now"]
 def clamp_to_now(now: float, time: float) -> float:
     """The delay :meth:`EventSimulator.schedule_at` derives from a target.
 
-    Kept as a shared function because the compiled engine in
-    :mod:`repro.des.engine` must replicate this arithmetic bit for bit —
-    ``now + max(time - now, 0.0)`` is *not* ``max(time, now)`` in floats,
-    and simplifying it would break the differential guarantees.
+    Named because the closed form in :mod:`repro.des.engine` replicates
+    this arithmetic bit for bit — ``now + max(time - now, 0.0)`` is *not*
+    ``max(time, now)`` in floats, and simplifying it would break the
+    differential guarantees.
     """
     return max(time - now, 0.0)
 

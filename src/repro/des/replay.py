@@ -17,6 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.context import RunContext, current_context
 from repro.core.assignment import Assignment, Subsystem
 from repro.core.task import Task
+from repro.des.engine import replay_closed_form
 from repro.des.kernel import EventSimulator
 from repro.des.resources import FaultyResource, FIFOResource
 from repro.obs.tracer import staged
@@ -290,6 +291,11 @@ def replay_assignment(
         still report per-task completion times.
     :returns: realized metrics; in dedicated mode with no outages,
         ``latencies_s`` equals the analytic :math:`t_{ijl}` per task.
+
+    Outside reference mode, a dedicated replay with no outage windows is
+    evaluated by the closed form of :mod:`repro.des.engine`; every other
+    replay runs the closure kernel (:class:`_Replay`).  Both give the same
+    bits.
     """
     if len(tasks) != assignment.costs.num_tasks:
         raise ValueError("tasks and assignment rows must correspond")
@@ -297,10 +303,13 @@ def replay_assignment(
         raise ValueError("start_times and tasks must correspond")
 
     context = current_context()
-    if not context.reference:
-        from repro.des.engine import replay_with_engine
-
-        latencies_t, makespan, events, mean_wait = replay_with_engine(
+    if not (context.reference or contention or backhaul_outages or wan_outages):
+        latencies, makespan, events = replay_closed_form(
+            system, tasks, assignment, start_times
+        )
+        mean_wait = 0.0
+    else:
+        latencies, makespan, events, mean_wait = _replay_events(
             system,
             tasks,
             assignment,
@@ -309,15 +318,26 @@ def replay_assignment(
             wan_outages,
             start_times,
         )
-        context.telemetry.metrics.incr("des.events", events)
-        return RealizedMetrics(
-            latencies_s=latencies_t,
-            makespan_s=makespan,
-            total_energy_j=assignment.total_energy_j(),
-            events_processed=events,
-            mean_queueing_delay_s=mean_wait,
-        )
+    context.telemetry.metrics.incr("des.events", events)
+    return RealizedMetrics(
+        latencies_s=latencies,
+        makespan_s=makespan,
+        total_energy_j=assignment.total_energy_j(),
+        events_processed=events,
+        mean_queueing_delay_s=mean_wait,
+    )
 
+
+def _replay_events(
+    system: MECSystem,
+    tasks: Sequence[Task],
+    assignment: Assignment,
+    contention: bool,
+    backhaul_outages: OutageWindows,
+    wan_outages: OutageWindows,
+    start_times: Optional[Sequence[float]],
+) -> Tuple[Tuple[Optional[float], ...], float, int, float]:
+    """Run the closure kernel: ``(latencies, makespan, events, mean wait)``."""
     replay = _Replay(system, assignment, contention, backhaul_outages, wan_outages)
     for row, task in enumerate(tasks):
         decision = assignment.decisions[row]
@@ -328,9 +348,6 @@ def replay_assignment(
             raise ValueError("start_times must be non-negative")
         replay.launch(row, task, decision, start=start)
     makespan = replay.sim.run()
-    current_context().telemetry.metrics.incr(
-        "des.events", replay.sim.events_processed
-    )
 
     latencies: List[Optional[float]] = []
     for row in range(len(tasks)):
@@ -344,14 +361,7 @@ def replay_assignment(
     for resource in replay.all_resources():
         waits.extend(resource.waiting_times())
     mean_wait = sum(waits) / len(waits) if waits else 0.0
-
-    return RealizedMetrics(
-        latencies_s=tuple(latencies),
-        makespan_s=makespan,
-        total_energy_j=assignment.total_energy_j(),
-        events_processed=replay.sim.events_processed,
-        mean_queueing_delay_s=mean_wait,
-    )
+    return tuple(latencies), makespan, replay.sim.events_processed, mean_wait
 
 
 def replay_algorithm(

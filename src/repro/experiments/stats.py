@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = ["Summary", "bootstrap_ci", "mean_ci", "summarize"]
 
@@ -72,6 +71,10 @@ def mean_ci(
     sem = float(np.std(data, ddof=1)) / math.sqrt(data.size)
     if sem == 0.0:
         return (mean, mean)
+    # Imported here: scipy.stats takes most of a second to import, and only
+    # multi-seed summaries reach this line.
+    from scipy import stats as scipy_stats
+
     t = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=data.size - 1))
     return (mean - t * sem, mean + t * sem)
 

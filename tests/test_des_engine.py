@@ -1,12 +1,17 @@
-"""The struct-of-arrays DES engine versus the closure-chain simulator.
+"""The DES replay's default routing versus the closure-chain simulator.
 
-Every test replays the same assignment through both engines and asserts
-the full :class:`RealizedMetrics` are *equal* — not approximately equal:
-the array engine's contract is bit-identical floats, identical event
-counts, identical queueing delays.
+Every test replays the same assignment by default and in reference mode
+and asserts the full :class:`RealizedMetrics` are *equal* — not
+approximately equal.  A dedicated, outage-free replay takes the closed
+form of :mod:`repro.des.engine`, whose contract is bit-identical floats
+and identical event counts; every other replay runs the closure kernel
+itself.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import sys
 
 import pytest
 
@@ -28,6 +33,26 @@ def _replay_both(system, tasks, assignment, **kwargs):
         slow = replay_assignment(system, tasks, assignment, **kwargs)
     assert fast == slow
     return fast
+
+
+def _replay_tracing_engine(context, *args, **kwargs):
+    """Replay under ``context``; also return how many calls entered
+    :mod:`repro.des.engine` (profiled by code object, so no import alias
+    can hide one) and the ``des.events`` the replay recorded."""
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == engine.__file__:
+            entered.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        with use_context(context):
+            metrics = replay_assignment(*args, **kwargs)
+    finally:
+        sys.setprofile(previous)
+    return metrics, len(entered), context.telemetry.metrics.read("des.events")
 
 
 class TestZeroTaskDevices:
@@ -144,7 +169,7 @@ class TestDivisibleBranchJoins:
 
 
 class TestFaultyReplayEveryAlgorithm:
-    """Outage-aware replay through the array engine, per registry entry."""
+    """Outage-aware replay through the closure kernel, per registry entry."""
 
     @pytest.fixture(scope="class")
     def tiny_scenario(self):
@@ -180,24 +205,92 @@ class TestEnginePaths:
             default = replay_assignment(small_scenario.system, tasks, assignment)
         assert reference == default
 
-    def test_closed_form_matches_event_loop_when_dedicated(self, small_scenario):
-        # Dedicated replay takes the closed-form path; forcing the event
-        # loop (contention machinery with no shared resources) must agree.
+    def test_closed_form_matches_event_loop_when_dedicated(
+        self,
+        two_cluster_system,
+        local_task,
+        shared_task_same_cluster,
+        shared_task_cross_cluster,
+        divisible_scenario,
+    ):
+        # The closed form's only differential, against the closure kernel's
+        # event loop (reference mode): every decision kind over a local, a
+        # same-cluster and a cross-cluster task, each twice with equal
+        # inputs and starts (tied finishes), at staggered starts; then the
+        # divisible scenario's station and cloud joins.
+        templates = (local_task, shared_task_same_cluster, shared_task_cross_cluster)
+        decisions = (
+            Subsystem.DEVICE, Subsystem.STATION, Subsystem.CLOUD, Subsystem.CANCELLED
+        )
+        tasks, rows, starts = [], [], []
+        for decision in decisions:
+            for template in templates:
+                start = 0.25 * (len(tasks) // 6)
+                for _ in range(2):
+                    tasks.append(dataclasses.replace(template, index=len(tasks)))
+                    rows.append(decision)
+                    starts.append(start)
+        cases = [
+            (two_cluster_system, tasks, rows, starts),
+            (two_cluster_system, tasks, rows, None),
+        ]
+        divisible = list(divisible_scenario.tasks)
+        assert any(task.has_external_data for task in divisible)
+        for decision in (Subsystem.STATION, Subsystem.CLOUD):
+            cases.append(
+                (
+                    divisible_scenario.system,
+                    divisible,
+                    [decision] * len(divisible),
+                    [0.1 * (row % 4) for row in range(len(divisible))],
+                )
+            )
+
+        replayed = []
+        for system, case_tasks, case_rows, case_starts in cases:
+            assignment = Assignment(cluster_costs(system, case_tasks), case_rows)
+            closed, entered, _ = _replay_tracing_engine(
+                RunContext(), system, case_tasks, assignment, start_times=case_starts
+            )
+            assert entered > 0  # the default route took the closed form
+            reference, entered, _ = _replay_tracing_engine(
+                RunContext(reference=True),
+                system,
+                case_tasks,
+                assignment,
+                start_times=case_starts,
+            )
+            assert entered == 0
+            assert closed == reference
+            assert closed.mean_queueing_delay_s == 0.0
+            replayed.append(closed.latencies_s)
+        # Each clone pair finished at the same instant.
+        assert replayed[0][0::2] == replayed[0][1::2]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(contention=True),
+            dict(backhaul_outages=((0.1, 0.4),)),
+            dict(contention=True, wan_outages=((0.3, 0.8),)),
+        ],
+        ids=["contended", "outage", "contended_outage"],
+    )
+    def test_contended_or_outage_replay_never_enters_the_engine(
+        self, small_scenario, kwargs
+    ):
         tasks = list(small_scenario.tasks)
         assignment = lp_hta(small_scenario.system, tasks).assignment
-        closed = engine.replay_with_engine(
-            small_scenario.system, tasks, assignment, False, (), (), None
+        default, entered, events = _replay_tracing_engine(
+            RunContext(), small_scenario.system, tasks, assignment, **kwargs
         )
-        looped = engine.replay_with_engine(
+        assert entered == 0
+        reference, _, reference_events = _replay_tracing_engine(
+            RunContext(reference=True),
             small_scenario.system,
             tasks,
             assignment,
-            False,
-            ((1e9, 2e9),),
-            (),
-            None,
+            **kwargs,
         )
-        # An outage window far beyond the makespan defers nothing but
-        # routes the replay through the event loop.
-        assert closed[0] == looped[0]
-        assert closed[1] == looped[1]
+        assert default == reference
+        assert events == reference_events == default.events_processed > 0

@@ -422,7 +422,7 @@ class TestArrayGeneratorMatchesReference:
 
 
 class TestEngineReplayBitIdentity:
-    """Array-engine replay equals the closure engine, metric for metric."""
+    """Default-route replay equals the closure engine, metric for metric."""
 
     def _replay_matrix(self, scenario, assignment):
         from repro.des.replay import replay_assignment

@@ -575,9 +575,9 @@ class TestLPHTABatched:
         assert context.telemetry.batch_solves == 1
         assert context.telemetry.batched_blocks == 1
         assert context.telemetry.solves == 1
-        # A batch of one probes only its block key, never a whole-batch key.
-        assert context.telemetry.batch_cache_lookups == 0
+        # The one block is probed once, by its own key.
         assert context.telemetry.cache_lookups == 1
+        assert context.telemetry.cache_hits == 0
 
 
 class TestLPHTABatchEntryPoint:
@@ -633,12 +633,18 @@ class TestLPHTABatchEntryPoint:
             )
 
     def test_repeated_column_is_a_whole_batch_cache_hit(self):
+        """The whole repeated batch is served from the cache: every block
+        hits its own per-block key, and nothing is solved again."""
         jobs = self._jobs()
         context = RunContext()
         first = lp_hta_batch(jobs, context=context)
-        assert context.telemetry.batch_cache_hits == 0
+        blocks = context.telemetry.batched_blocks
+        assert context.telemetry.cache_hits == 0
         second = lp_hta_batch(jobs, context=context)
-        assert context.telemetry.batch_cache_hits == 1
+        # Every block of the repeat is a per-block hit: no block is solved.
+        assert context.telemetry.cache_hits == blocks
+        assert context.telemetry.cache_lookups == 2 * blocks
         assert context.telemetry.batch_solves == 1  # no second mega-solve
+        assert context.telemetry.batched_blocks == blocks
         for a, b in zip(first, second):
             _reports_identical(a, b)
