@@ -6,7 +6,9 @@ draws) and the replayed :class:`RealizedMetrics` of an LP-HTA assignment
 under four replay modes (dedicated, contended, each with outages).  Only
 the dedicated mode has a compiled form (the closed form of
 :mod:`repro.des.engine`); the other three run the closure kernel either
-way.
+way.  It also prints every tile of a 3-shard toy city (every device,
+station and task field), so tile generation in the city's global ids is
+diffed too.
 ``json`` renders floats with ``repr`` — shortest round-trip — so two
 documents are byte-identical iff every float is bit-identical.
 
@@ -24,7 +26,8 @@ import json
 from repro.context import RunContext, use_context
 from repro.core.hta import lp_hta
 from repro.des.replay import replay_assignment
-from repro.workload import PAPER_DEFAULTS, generate_scenario
+from repro.system.sharding import ShardSpec
+from repro.workload import PAPER_DEFAULTS, generate_scenario, generate_tile
 
 REPLAY_MODES = {
     "dedicated": dict(contention=False),
@@ -40,6 +43,55 @@ REPLAY_MODES = {
         wan_outages=((0.4, 0.9),),
     ),
 }
+
+
+#: The toy city whose tiles are printed: (profile updates, shards).
+TOY_CITY = (dict(num_devices=60, num_stations=6, num_tasks=150), 3)
+
+
+def _task_fields(task) -> list:
+    return [
+        task.owner_device_id,
+        task.index,
+        task.local_bytes,
+        task.external_bytes,
+        task.external_source,
+        task.resource_demand,
+        task.deadline_s,
+        task.divisible,
+        sorted(task.required_items),
+        task.operation,
+    ]
+
+
+def _tile_document(tile) -> dict:
+    system = tile.system
+    return {
+        "shard_id": tile.shard_id,
+        "tile_seed": tile.tile_seed,
+        "devices": [
+            [
+                device.device_id,
+                device.cpu_frequency_hz,
+                device.wireless.name,
+                device.max_resource,
+                sorted(device.data_items),
+                list(device.position),
+                system.cluster_of(device.device_id),
+            ]
+            for device in system.devices.values()
+        ],
+        "stations": [
+            [
+                station.station_id,
+                station.cpu_frequency_hz,
+                station.max_resource,
+                list(station.position),
+            ]
+            for station in system.stations.values()
+        ],
+        "tasks": [_task_fields(task) for task in tile.tasks],
+    }
 
 
 def main() -> None:
@@ -90,6 +142,13 @@ def main() -> None:
                 "events_processed": metrics.events_processed,
                 "mean_queueing_delay_s": metrics.mean_queueing_delay_s,
             }
+        updates, shards = TOY_CITY
+        city = PAPER_DEFAULTS.with_updates(**updates)
+        spec = ShardSpec.balanced(range(city.num_stations), shards)
+        document["tiles"] = [
+            _tile_document(generate_tile(city, spec, shard_id, seed=0))
+            for shard_id in range(shards)
+        ]
     print(json.dumps(document, sort_keys=True, indent=1))
 
 

@@ -239,11 +239,14 @@ def register_task_arrays(system: MECSystem, tasks, arrays: dict) -> None:
     """Register the flat arrays a task list was materialised from.
 
     Called by :mod:`repro.workload.array_gen` after building a scenario's
-    tasks.  ``arrays`` must hold ``owner``/``source`` (int64, source -1 for
-    None), ``alpha``/``beta``/``resource``/``deadline`` (float64) and
-    ``has_ext`` (bool), all parallel to ``tasks``.  The hint is advisory:
-    the cost builder uses it only when the task tuple it is pricing is the
-    *same objects* in the same order, and falls back to the loop otherwise.
+    tasks.  ``arrays`` must hold ``owner``/``source`` (int64 *positions* in
+    ``system.devices``, source -1 for None),
+    ``alpha``/``beta``/``resource``/``deadline`` (float64) and ``has_ext``
+    (bool), all parallel to ``tasks``.  Positions, not ids, so a tile
+    generated in a city's global ids prices from the hint too.  The hint is
+    advisory: the cost builder uses it only when the task tuple it is
+    pricing is the *same objects* in the same order, and falls back to the
+    loop otherwise.
     """
     _TASK_ARRAY_HINTS[system] = (tuple(tasks), arrays)
 
@@ -313,15 +316,13 @@ def _cluster_costs_vectorized(
         )
 
     hint = _task_array_hint(system, tasks)
-    if hint is not None and list(system.devices) != list(range(len(device_info))):
-        # Positional gather below needs device ids 0..n-1 in order.
-        hint = None
     if hint is not None:
         # Generate→costs fusion: the array generator already produced every
-        # task field as a flat array, so the gather is pure fancy indexing
-        # over a per-device attribute table.  Values are the same float64
-        # objects the loop below would copy element by element, so the
-        # resulting table is bit-identical.
+        # task field as a flat array, owners and sources as positions in
+        # ``system.devices``, so the gather is pure fancy indexing over a
+        # per-device attribute table in that order.  Values are the same
+        # float64 objects the loop below would copy element by element, so
+        # the resulting table is bit-identical.
         device_rows = [device_info[d] for d in system.devices]
         dev_up = np.array([r[0] for r in device_rows])
         dev_down = np.array([r[1] for r in device_rows])

@@ -41,6 +41,7 @@ def random_overlap_universe(
     mean_size_bytes: float,
     replication: float = 3.0,
     seed: int = 0,
+    first_item_id: int = 0,
 ) -> Tuple[DataCatalog, OwnershipMap]:
     """A universe where each item is replicated on ~``replication`` devices.
 
@@ -50,6 +51,8 @@ def random_overlap_universe(
     :param replication: target mean number of owners per item (≥ 1; each
         item always has at least one owner so the universe is coverable).
     :param seed: RNG seed.
+    :param first_item_id: id of the first item; items are numbered
+        consecutively from it.  The draws do not depend on it.
     """
     if num_items <= 0:
         raise ValueError("num_items must be positive")
@@ -60,12 +63,13 @@ def random_overlap_universe(
     rng = np.random.default_rng(seed)
     sizes = _item_sizes(num_items, mean_size_bytes, rng)
     catalog = DataCatalog(
-        DataItem(item_id, float(size)) for item_id, size in enumerate(sizes)
+        DataItem(item_id, float(size))
+        for item_id, size in enumerate(sizes, first_item_id)
     )
 
     holdings: Dict[int, Set[int]] = {device_id: set() for device_id in device_ids}
     ids = np.asarray(device_ids)
-    for item_id in range(num_items):
+    for item_id in range(first_item_id, first_item_id + num_items):
         extra = int(rng.poisson(max(replication - 1.0, 0.0)))
         count = min(len(ids), 1 + extra)
         owners = rng.choice(ids, size=count, replace=False)

@@ -274,6 +274,7 @@ def replay_assignment(
     backhaul_outages: OutageWindows = (),
     wan_outages: OutageWindows = (),
     start_times: Optional[Sequence[float]] = None,
+    context: Optional[RunContext] = None,
 ) -> RealizedMetrics:
     """Replay an assignment on the event simulator and measure it.
 
@@ -289,6 +290,8 @@ def replay_assignment(
         outage windows); defaults to launching everything at 0.  Latencies
         are always measured from the row's launch, so staggered starts
         still report per-task completion times.
+    :param context: run configuration that picks the route and receives
+        the ``des.events`` count; defaults to the active context.
     :returns: realized metrics; in dedicated mode with no outages,
         ``latencies_s`` equals the analytic :math:`t_{ijl}` per task.
 
@@ -302,7 +305,7 @@ def replay_assignment(
     if start_times is not None and len(start_times) != len(tasks):
         raise ValueError("start_times and tasks must correspond")
 
-    context = current_context()
+    context = context if context is not None else current_context()
     if not (context.reference or contention or backhaul_outages or wan_outages):
         latencies, makespan, events = replay_closed_form(
             system, tasks, assignment, start_times
@@ -387,8 +390,8 @@ def replay_algorithm(
     :param contention: FIFO-share radios/CPUs during the replay.
     :param backhaul_outages: injected BS–BS outage windows.
     :param wan_outages: injected BS–cloud outage windows.
-    :param context: run configuration for the planning step; defaults to
-        the active context.
+    :param context: run configuration for the planning and replay steps;
+        defaults to the active context.
     :param start_times: per-row launch times for the replay step.
     :returns: the planned assignment and its realized metrics.
     :raises ValueError: for unknown names or evaluation-only algorithms.
@@ -404,5 +407,6 @@ def replay_algorithm(
         backhaul_outages=backhaul_outages,
         wan_outages=wan_outages,
         start_times=start_times,
+        context=context,
     )
     return assignment, metrics

@@ -207,6 +207,7 @@ def detect_threats(
     departed: FrozenSet[int] = frozenset(),
     crashed: FrozenSet[int] = frozenset(),
     start_times: Optional[Sequence[float]] = None,
+    context: Optional[RunContext] = None,
 ) -> ThreatReport:
     """Replay one epoch healthy and faulty, and classify endangered tasks.
 
@@ -225,8 +226,12 @@ def detect_threats(
     :param crashed: stations crashed by the end of the epoch.
     :param start_times: per-row epoch-relative launch times (the task's
         arrival offset within the epoch); defaults to launching at 0.
+    :param context: run configuration of both replays; defaults to the
+        active context.
     """
-    healthy = replay_assignment(system, tasks, assignment, start_times=start_times)
+    healthy = replay_assignment(
+        system, tasks, assignment, start_times=start_times, context=context
+    )
     faulty = replay_assignment(
         system,
         tasks,
@@ -234,6 +239,7 @@ def detect_threats(
         backhaul_outages=tuple(backhaul_outages),
         wan_outages=tuple(wan_outages),
         start_times=start_times,
+        context=context,
     )
 
     dropped: List[int] = []
@@ -370,8 +376,9 @@ def apply_recovery(
     :param assignment: the planned decisions.
     :param threats: output of :func:`detect_threats` for this epoch.
     :param options: retry/backoff tunables.
-    :param context: run configuration for the reassignment LP; defaults to
-        the active context (whose LP solve cache the repair step reuses).
+    :param context: run configuration for the reassignment LP and the
+        replays; defaults to the active context (whose LP solve cache the
+        repair step reuses).
     :param backhaul_outages: epoch-relative BS–BS outage windows.
     :param wan_outages: epoch-relative BS–cloud outage windows.
     :param departed: devices gone by the end of the epoch.
@@ -436,6 +443,7 @@ def apply_recovery(
             backhaul_outages=tuple(backhaul_outages),
             wan_outages=tuple(wan_outages),
             start_times=start_times,
+            context=context,
         )
         degrade_latency = {row: degraded.latencies_s[row] for row in threatened}
     elif threatened and policy == "reassign":
@@ -456,6 +464,7 @@ def apply_recovery(
                     if start_times is None
                     else [start_times[row] for row in threatened]
                 ),
+                context=context,
             )
             for local, row in enumerate(threatened):
                 reassign_result[row] = (

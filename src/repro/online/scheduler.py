@@ -374,6 +374,7 @@ def simulate_online(
                 departed=departed,
                 crashed=crashed,
                 start_times=offsets,
+                context=context,
             )
             outcome = apply_recovery(
                 options.recovery,

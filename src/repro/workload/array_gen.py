@@ -26,9 +26,11 @@ Rejections are ~``n / 2**32`` rare; rather than replicate the resample
 loop this module *bails out* (returns None) whenever
 ``(word32 * n) & 0xFFFFFFFF < n`` — a superset of the true rejection test
 — and the caller falls back to the object path, which is bit-identical by
-the repo's standing differential guarantee.  The same bail covers systems
-whose device ids are not ``0..n-1`` in iteration order (relabelled
-streaming tiles).
+the repo's standing differential guarantee.
+
+Both functions draw in *local* positions ``0..n-1`` and give each object
+its global id (:class:`~repro.workload.generator.IdRanges`) as it is
+built, so a streamed tile and the dense scenario share one code path.
 
 Divisible-task profiles always take the object path: their draws go
 through ``rng.choice(..., replace=False)`` whose consumption pattern is
@@ -59,9 +61,9 @@ def _decode_uniform_words(raw: np.ndarray) -> List[float]:
 
 
 def _nth_outside(members: Sequence[int], idx: int) -> int:
-    """The ``idx``-th device id, ascending, that is not in ``members``.
+    """The ``idx``-th device position, ascending, not in ``members``.
 
-    Device ids are ``0..N-1`` and ``members`` (one cluster's ids) is
+    Positions are ``0..N-1`` and ``members`` (one cluster's positions) is
     ascending, so stepping ``idx`` past every member at or below the
     running value lands on the answer in O(|cluster|), without listing
     the devices outside the cluster.
@@ -82,6 +84,7 @@ def generate_system_arrays(
     station_positions: Sequence[Tuple[float, float]],
     result_size,
     cycles,
+    ids,
 ) -> MECSystem:
     """Array-path twin of :func:`repro.workload.generator.generate_system`.
 
@@ -89,6 +92,7 @@ def generate_system_arrays(
     device; the view loop keeps the scalar ``math.cos``/``math.sin`` calls
     (libm trig is what the object path used — numpy's SIMD trig may round
     differently) and replicates the ``MobileDevice`` validation inline.
+    Devices and stations are built in the global ids of ``ids``.
     """
     rng = np.random.default_rng(seed)
     n = profile.num_devices
@@ -97,7 +101,7 @@ def generate_system_arrays(
 
     stations = [
         BaseStation(
-            station_id=sid,
+            station_id=ids.stations[sid],
             max_resource=profile.station_max_resource,
             position=station_positions[sid],
         )
@@ -117,10 +121,14 @@ def generate_system_arrays(
     new = object.__new__
     set_field = object.__setattr__
     empty_items = frozenset()
-    for device_id in range(n):
-        station_id = device_id % profile.num_stations
-        sx, sy = station_positions[station_id]
-        base = 4 * device_id
+    device_ids = ids.devices
+    station_ids = ids.stations
+    k = profile.num_stations
+    for local in range(n):
+        device_id = device_ids[local]
+        local_station = local % k
+        sx, sy = station_positions[local_station]
+        base = 4 * local
         angle = 0.0 + (two_pi - 0.0) * u[base]
         radius = cell_radius * math.sqrt(0.0 + (1.0 - 0.0) * u[base + 1])
         wireless = WIFI if 0.0 + (1.0 - 0.0) * u[base + 2] < wifi_p else FOUR_G
@@ -140,7 +148,7 @@ def generate_system_arrays(
             (sx + radius * math.cos(angle), sy + radius * math.sin(angle)),
         )
         devices.append(device)
-        attachment[device_id] = station_id
+        attachment[device_id] = station_ids[local_station]
 
     parameters = SystemParameters(cycles=cycles, result_size=result_size)
     return MECSystem(
@@ -160,23 +168,27 @@ def generate_holistic_tasks(
     profile: WorkloadProfile,
     seed: int,
     counts: Sequence[int],
+    ids,
 ) -> Optional[List[Task]]:
     """Array-path twin of the holistic loop in ``generate_tasks``.
 
     Decodes the prefetched word stream task by task — two uniforms, an
     optional cross-cluster uniform, an optional buffered-Lemire source
     index, a deadline uniform — tracking the bit generator's 32-bit buffer
-    parity through the loop.  Registers the resulting task arrays with
+    parity through the loop.  Owners and sources are decoded as positions
+    in ``system.devices`` and named by ``ids.devices`` when the tasks are
+    built.  Registers the resulting task arrays, positions included, with
     :mod:`repro.core.costs` so the cost-table build skips its per-task
     gather loop.
 
     :returns: the task list, or None when the stream cannot be decoded
-        statically (possible Lemire rejection, non-canonical device ids) —
-        the caller falls back to the object path.
+        statically (possible Lemire rejection, or ``system.devices`` not in
+        the order of ``ids.devices``) — the caller falls back to the object
+        path.
     """
     num_devices = profile.num_devices
-    device_ids = list(system.devices)
-    if len(device_ids) != num_devices or device_ids != list(range(num_devices)):
+    device_ids = list(ids.devices)
+    if len(device_ids) != num_devices or list(system.devices) != device_ids:
         return None
 
     total_tasks = sum(counts)
@@ -192,12 +204,12 @@ def generate_holistic_tasks(
 
     clusters = [system.cluster_of(d) for d in device_ids]
     members: Dict[int, List[int]] = {}
-    for d in device_ids:
-        members.setdefault(clusters[d], []).append(d)
+    for position, cluster in enumerate(clusters):
+        members.setdefault(cluster, []).append(position)
     rank: Dict[int, int] = {}
     for cluster_members in members.values():
-        for position, d in enumerate(cluster_members):
-            rank[d] = position
+        for member_rank, position in enumerate(cluster_members):
+            rank[position] = member_rank
 
     min_frac = profile.min_input_fraction
     max_bytes = profile.max_input_bytes
@@ -216,12 +228,12 @@ def generate_holistic_tasks(
 
     offset = 0
     buffered: Optional[int] = None
-    for owner_id, count in enumerate(counts):
-        owner_cluster = clusters[owner_id]
+    for owner, count in enumerate(counts):
+        owner_cluster = clusters[owner]
         cluster_members = members[owner_cluster]
         n_same = len(cluster_members) - 1
         n_cross = num_devices - len(cluster_members)
-        owner_rank = rank[owner_id]
+        owner_rank = rank[owner]
         for index in range(count):
             total = float(
                 (min_frac + (1.0 - min_frac) * u[offset]) * max_bytes
@@ -244,7 +256,7 @@ def generate_holistic_tasks(
                 elif n == 1:
                     # integers(0, 1) consumes no words at all.
                     if fallback:
-                        source = 0 if owner_id != 0 else 1
+                        source = 0 if owner != 0 else 1
                     elif cross:
                         source = _nth_outside(cluster_members, 0)
                     else:
@@ -264,7 +276,7 @@ def generate_holistic_tasks(
                         return None
                     idx = product >> 32
                     if fallback:
-                        source = idx if idx < owner_id else idx + 1
+                        source = idx if idx < owner else idx + 1
                     elif cross:
                         source = _nth_outside(cluster_members, idx)
                     else:
@@ -275,7 +287,7 @@ def generate_holistic_tasks(
                     alpha, beta = total, 0.0
             deadline = float(dead_lo + (dead_hi - dead_lo) * u[offset])
             offset += 1
-            owners.append(owner_id)
+            owners.append(owner)
             indices.append(index)
             alphas.append(alpha)
             betas.append(beta)
@@ -287,12 +299,17 @@ def generate_holistic_tasks(
     new = object.__new__
     set_field = object.__setattr__
     for i in range(total_tasks):
+        source = sources[i]
         task = new(Task)
-        set_field(task, "owner_device_id", owners[i])
+        set_field(task, "owner_device_id", device_ids[owners[i]])
         set_field(task, "index", indices[i])
         set_field(task, "local_bytes", alphas[i])
         set_field(task, "external_bytes", betas[i])
-        set_field(task, "external_source", sources[i])
+        set_field(
+            task,
+            "external_source",
+            None if source is None else device_ids[source],
+        )
         set_field(task, "resource_demand", demands[i])
         set_field(task, "deadline_s", deadlines[i])
         set_field(task, "divisible", False)

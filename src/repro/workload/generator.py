@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,10 +27,46 @@ from repro.system.radio import FOUR_G, WIFI
 from repro.system.topology import MECSystem, SystemParameters
 from repro.workload.profiles import WorkloadProfile
 
-__all__ = ["Scenario", "generate_scenario", "generate_system", "generate_tasks"]
+__all__ = [
+    "IdRanges",
+    "Scenario",
+    "generate_scenario",
+    "generate_system",
+    "generate_tasks",
+]
 
 #: Average number of data items one divisible task touches.
 _ITEMS_PER_TASK = 8
+
+
+@dataclass(frozen=True)
+class IdRanges:
+    """The global ids a scenario's devices, stations and items are born with.
+
+    The generator draws devices, stations and data items in *local* order
+    ``0, 1, 2, …``; local device ``i`` gets id ``devices[i]``, local station
+    ``s`` gets ``stations[s]`` and local item ``j`` gets ``items[j]``.  Only
+    ids change: every draw, and so every size, frequency and choice, is the
+    local one.  A dense scenario uses :meth:`identity`; a streamed tile uses
+    its shard's slice of the city's namespace.
+
+    :param devices: global device id of each local device, ascending.
+    :param stations: the global station ids, a range.
+    :param items: the global data-item ids, a range.
+    """
+
+    devices: Sequence[int]
+    stations: range
+    items: range
+
+    @classmethod
+    def identity(cls, profile: WorkloadProfile) -> "IdRanges":
+        """Local ids are global ids: the dense scenario of ``profile``."""
+        return cls(
+            devices=range(profile.num_devices),
+            stations=range(profile.num_stations),
+            items=range(profile.num_data_items),
+        )
 
 
 @dataclass(frozen=True)
@@ -82,6 +118,7 @@ def generate_system(
     seed: int = 0,
     ownership: Optional[OwnershipMap] = None,
     area_side_m: float = 2000.0,
+    ids: Optional[IdRanges] = None,
 ) -> MECSystem:
     """Generate the MEC system of a profile.
 
@@ -91,9 +128,13 @@ def generate_system(
     :param profile: scenario parameters.
     :param seed: RNG seed.
     :param ownership: optional pre-generated data holdings to bake into the
-        devices' ``data_items``.
+        devices' ``data_items`` (keyed by global device id).
     :param area_side_m: side of the simulated square area.
+    :param ids: global ids of the devices and stations; the identity
+        ranges when omitted.
     """
+    if ids is None:
+        ids = IdRanges.identity(profile)
     station_positions = _station_positions(profile.num_stations, area_side_m)
     result_size = (
         ResultSizeModel.constant(profile.result_constant_bytes)
@@ -112,12 +153,13 @@ def generate_system(
             station_positions,
             result_size,
             CyclesModel(),
+            ids,
         )
 
     rng = np.random.default_rng(seed)
     stations = [
         BaseStation(
-            station_id=sid,
+            station_id=ids.stations[sid],
             max_resource=profile.station_max_resource,
             position=station_positions[sid],
         )
@@ -128,9 +170,10 @@ def generate_system(
     attachment = {}
     cell_radius = area_side_m / (2.0 * math.ceil(math.sqrt(profile.num_stations)))
     freq_lo, freq_hi = profile.device_frequency_range_hz
-    for device_id in range(profile.num_devices):
-        station_id = device_id % profile.num_stations
-        sx, sy = station_positions[station_id]
+    for local in range(profile.num_devices):
+        device_id = ids.devices[local]
+        local_station = local % profile.num_stations
+        sx, sy = station_positions[local_station]
         angle = rng.uniform(0.0, 2.0 * math.pi)
         radius = cell_radius * math.sqrt(rng.uniform(0.0, 1.0))
         wireless = WIFI if rng.uniform() < profile.wifi_probability else FOUR_G
@@ -145,7 +188,7 @@ def generate_system(
                 position=(sx + radius * math.cos(angle), sy + radius * math.sin(angle)),
             )
         )
-        attachment[device_id] = station_id
+        attachment[device_id] = ids.stations[local_station]
 
     parameters = SystemParameters(cycles=CyclesModel(), result_size=result_size)
     return MECSystem(
@@ -365,6 +408,35 @@ class _DivisibleUniverse:
         self.owners = {item: tuple(ownership.owners_of(item)) for item in items}
 
 
+def _local_universe(
+    catalog: DataCatalog, ownership: OwnershipMap, ids: IdRanges
+) -> Tuple[DataCatalog, OwnershipMap]:
+    """The universe renumbered to local item ids ``0..M-1``, for the draws.
+
+    A task's byte totals are summed in the iteration order of item-id sets,
+    and that order depends on the ids themselves.  Drawing on local ids,
+    with each holding built the way :func:`random_overlap_universe` builds
+    it (ascending insertion), keeps a tile's floats those of its
+    sub-profile generated on its own, wherever the shard's items sit in
+    the city's namespace.
+    """
+    first = ids.items.start
+    if first == 0:
+        return catalog, ownership
+    local_catalog = DataCatalog.from_sizes(
+        {item - first: size for item, size in catalog.sizes().items()}
+    )
+    local_ownership = OwnershipMap(
+        {
+            device_id: set(
+                sorted(item - first for item in ownership.items_of(device_id))
+            )
+            for device_id in ids.devices
+        }
+    )
+    return local_catalog, local_ownership
+
+
 def _divisible_task(
     system: MECSystem,
     profile: WorkloadProfile,
@@ -374,8 +446,14 @@ def _divisible_task(
     index: int,
     rng: np.random.Generator,
     universe: Optional[_DivisibleUniverse] = None,
+    first_item: int = 0,
 ) -> Task:
-    """One divisible task over a random subset of the data universe."""
+    """One divisible task over a random subset of the data universe.
+
+    ``catalog`` and ``ownership`` are in local item ids (see
+    :func:`_local_universe`); the task's ``required_items`` are shifted to
+    global ids by ``first_item``.
+    """
     if universe is not None:
         all_items = universe.all_items
     else:
@@ -407,6 +485,8 @@ def _divisible_task(
             source = max(sorted(holders), key=lambda d: holders[d])
         else:
             alpha, beta = alpha + beta, 0.0  # nobody else holds it: treat as local
+    if first_item:
+        required = frozenset(item + first_item for item in required)
     return Task(
         owner_device_id=owner_id,
         index=index,
@@ -426,6 +506,7 @@ def generate_tasks(
     seed: int = 0,
     catalog: Optional[DataCatalog] = None,
     ownership: Optional[OwnershipMap] = None,
+    ids: Optional[IdRanges] = None,
 ) -> List[Task]:
     """Generate the profile's tasks over an existing system.
 
@@ -434,34 +515,43 @@ def generate_tasks(
     :param seed: RNG seed.
     :param catalog: required when ``profile.divisible``.
     :param ownership: required when ``profile.divisible``.
+    :param ids: the global ids ``system`` was generated in; local device
+        ``i`` owns the i-th share of the tasks.  The identity ranges when
+        omitted.
     """
     if profile.divisible and (catalog is None or ownership is None):
         raise ValueError("divisible workloads need a catalog and ownership map")
+    if ids is None:
+        ids = IdRanges.identity(profile)
     counts = _tasks_per_device(profile.num_tasks, profile.num_devices)
 
     context = current_context()
     if not context.reference and not profile.divisible:
         from repro.workload.array_gen import generate_holistic_tasks
 
-        tasks = generate_holistic_tasks(system, profile, seed, counts)
+        tasks = generate_holistic_tasks(system, profile, seed, counts, ids)
         if tasks is not None:
             return tasks
-        # Undecodable word stream (rare Lemire rejection or relabelled
-        # device ids): fall back to the object path below.
+        # Undecodable word stream (rare Lemire rejection, or a system whose
+        # device order is not ``ids.devices``): fall back to the object
+        # path below.
         context.telemetry.metrics.incr("generate.array_bailout")
 
     rng = np.random.default_rng(seed + 1)
     tasks: List[Task] = []
     sources = None if context.reference else _SourceCandidates(system)
     universe = None
-    if profile.divisible and not context.reference:
-        universe = _DivisibleUniverse(catalog, ownership)
-    for owner_id, count in enumerate(counts):
+    if profile.divisible:
+        catalog, ownership = _local_universe(catalog, ownership, ids)
+        if not context.reference:
+            universe = _DivisibleUniverse(catalog, ownership)
+    for local, count in enumerate(counts):
+        owner_id = ids.devices[local]
         for index in range(count):
             if profile.divisible:
                 task = _divisible_task(
                     system, profile, catalog, ownership, owner_id, index, rng,
-                    universe,
+                    universe, ids.items.start,
                 )
             else:
                 task = _holistic_task(system, profile, owner_id, index, rng, sources)
@@ -470,27 +560,34 @@ def generate_tasks(
 
 
 @staged("generate")
-def generate_scenario(profile: WorkloadProfile, seed: int = 0) -> Scenario:
+def generate_scenario(
+    profile: WorkloadProfile, seed: int = 0, ids: Optional[IdRanges] = None
+) -> Scenario:
     """Generate a complete scenario (system, tasks, data) from a profile.
 
     :param profile: scenario parameters.
     :param seed: RNG seed; equal (profile, seed) pairs generate identical
         scenarios.
+    :param ids: the global ids to generate devices, stations and items in;
+        the identity ranges when omitted.  Ids never change a draw.
     """
+    if ids is None:
+        ids = IdRanges.identity(profile)
     catalog = None
     ownership = None
     if profile.divisible:
         mean_item = profile.max_input_bytes / _ITEMS_PER_TASK
         catalog, ownership = random_overlap_universe(
             num_items=profile.num_data_items,
-            device_ids=list(range(profile.num_devices)),
+            device_ids=ids.devices,
             mean_size_bytes=mean_item,
             replication=profile.item_replication,
             seed=seed + 2,
+            first_item_id=ids.items.start,
         )
-    system = generate_system(profile, seed=seed, ownership=ownership)
+    system = generate_system(profile, seed=seed, ownership=ownership, ids=ids)
     tasks = generate_tasks(
-        system, profile, seed=seed, catalog=catalog, ownership=ownership
+        system, profile, seed=seed, catalog=catalog, ownership=ownership, ids=ids
     )
     return Scenario(
         profile=profile,

@@ -4,21 +4,25 @@
 system, one global task list and (downstream) one global cost table — fine
 at paper scale, hopeless at 10⁵+ devices.  This module generates the same
 *kind* of workload shard by shard: each :class:`ScenarioTile` is an
-independently generated mini-scenario, relabelled into the global id
+independently drawn mini-scenario, generated directly in the global id
 namespace of a contiguous :class:`~repro.system.sharding.ShardSpec` range,
 so a consumer can generate → solve → discard one tile at a time and never
-hold the whole city in memory.  ``generate_scenario`` is retained untouched
-as the dense reference.
+hold the whole city in memory.  The dense scenario is the same generator
+with the identity ranges.
 
 **Id mapping.**  The dense generator attaches device ``d`` to station
 ``d % k`` (round-robin).  For a shard owning the contiguous station range
 ``[a, a + k_s)``, the global devices attached to it are exactly
 ``{d : d % k ∈ [a, a+k_s)}``, and the i-th such device (sorted) is
 ``(i // k_s)·k + a + (i % k_s)`` — which is also where the tile's local
-round-robin attachment lands after relabelling, so tile topologies embed
-exactly into the dense topology.  Per-device task counts match the dense
-generator's even split, device for device.  Data-item ids are offset by a
-balanced per-shard slice of the item universe, keeping tiles disjoint.
+round-robin attachment (local device ``i`` on local station ``i % k_s``)
+lands, so tile topologies embed exactly into the dense topology.  The
+tile's :class:`~repro.workload.generator.IdRanges` carry these device ids,
+the station range and a balanced per-shard slice of the item universe
+(keeping tiles disjoint); the generator names every device, station, task
+and item by them as it builds it.  Ids never change a draw: a tile equals
+its sub-profile generated on its own with every id shifted.  Per-device
+task counts match the dense generator's even split, device for device.
 
 **What streaming does not preserve.**  Tiles draw from independent
 per-shard RNG streams, so tile *contents* (frequencies, sizes, sources)
@@ -31,7 +35,6 @@ generator remains the reference for cross-shard data sharing.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
@@ -40,7 +43,7 @@ from repro.data.ownership import OwnershipMap
 from repro.core.task import Task
 from repro.system.sharding import ShardSpec
 from repro.system.topology import MECSystem
-from repro.workload.generator import Scenario, generate_scenario
+from repro.workload.generator import IdRanges, Scenario, generate_scenario
 from repro.workload.profiles import WorkloadProfile
 
 __all__ = [
@@ -65,8 +68,8 @@ class ScenarioTile:
     :param tile_profile: the per-shard sub-profile actually generated.
     :param seed: the global stream seed.
     :param tile_seed: the derived per-shard seed.
-    :param system: the shard's system, relabelled to global device/station
-        ids (a standalone :class:`~repro.system.topology.MECSystem`).
+    :param system: the shard's system, in global device/station ids (a
+        standalone :class:`~repro.system.topology.MECSystem`).
     :param tasks: the shard's tasks, owners/sources in global ids.
     :param catalog: the shard's data-item slice (divisible only).
     :param ownership: the shard's holdings slice (divisible only).
@@ -142,9 +145,10 @@ def generate_tile(
     """Generate one shard's tile of the streamed scenario.
 
     Pure in (profile, spec, shard_id, seed) — tiles can be generated in any
-    order, in any process, and stay bit-identical.  A one-shard spec
-    returns ``generate_scenario(profile, seed)`` relabel-free, which pins
-    the streaming path to the dense reference.
+    order, in any process, and stay bit-identical.  The tile is generated
+    directly in the shard's global ids, so every device, station and task
+    is built once.  A one-shard spec returns ``generate_scenario(profile,
+    seed)``, which pins the streaming path to the dense reference.
 
     :param profile: the global workload profile.
     :param spec: contiguous station partition covering the profile.
@@ -156,21 +160,6 @@ def generate_tile(
     first, width = _contiguous_range(stations)
     k = profile.num_stations
     n = profile.num_devices
-
-    if spec.num_shards == 1:
-        scenario = generate_scenario(profile, seed)
-        return ScenarioTile(
-            shard_id=0,
-            num_shards=1,
-            profile=profile,
-            tile_profile=profile,
-            seed=seed,
-            tile_seed=seed,
-            system=scenario.system,
-            tasks=scenario.tasks,
-            catalog=scenario.catalog,
-            ownership=scenario.ownership,
-        )
 
     num_devices = _devices_below(n, k, first, width)
     base, extra = divmod(profile.num_tasks, n)
@@ -187,78 +176,19 @@ def generate_tile(
         num_tasks=max(num_tasks, 1),
         num_data_items=num_items,
     )
-    tile_seed = seed + (shard_id + 1) * _TILE_SEED_STRIDE
-    scenario = generate_scenario(tile_profile, tile_seed)
-
-    # Relabel local ids into the global namespace.
-    device_map = [
-        (local // width) * k + first + (local % width)
-        for local in range(num_devices)
-    ]
-    devices = [
-        dataclasses.replace(
-            scenario.system.device(local),
-            device_id=device_map[local],
-            data_items=frozenset(
-                item + item_offset
-                for item in scenario.system.device(local).data_items
-            ),
-        )
-        for local in range(num_devices)
-    ]
-    station_list = [
-        dataclasses.replace(
-            scenario.system.station(local), station_id=first + local
-        )
-        for local in range(width)
-    ]
-    attachment = {
-        device_map[local]: first + scenario.system.cluster_of(local)
-        for local in range(num_devices)
-    }
-    system = MECSystem(
-        devices=devices,
-        stations=station_list,
-        attachment=attachment,
-        cloud=scenario.system.cloud,
-        bs_bs_link=scenario.system.bs_bs_link,
-        bs_cloud_link=scenario.system.bs_cloud_link,
-        parameters=scenario.system.parameters,
+    if spec.num_shards == 1:
+        tile_seed = seed
+    else:
+        tile_seed = seed + (shard_id + 1) * _TILE_SEED_STRIDE
+    ids = IdRanges(
+        devices=tuple(
+            (local // width) * k + first + (local % width)
+            for local in range(num_devices)
+        ),
+        stations=range(first, first + width),
+        items=range(item_offset, item_offset + num_items),
     )
-    tasks = tuple(
-        dataclasses.replace(
-            task,
-            owner_device_id=device_map[task.owner_device_id],
-            external_source=(
-                None
-                if task.external_source is None
-                else device_map[task.external_source]
-            ),
-            required_items=frozenset(
-                item + item_offset for item in task.required_items
-            ),
-        )
-        for task in scenario.tasks[: num_tasks]
-    )
-    catalog = None
-    ownership = None
-    if scenario.catalog is not None:
-        catalog = DataCatalog.from_sizes(
-            {
-                item + item_offset: scenario.catalog.size_of(item)
-                for item in scenario.catalog.item_ids
-            }
-        )
-    if scenario.ownership is not None:
-        ownership = OwnershipMap(
-            {
-                device_map[local]: {
-                    item + item_offset
-                    for item in scenario.ownership.items_of(local)
-                }
-                for local in range(num_devices)
-            }
-        )
+    scenario = generate_scenario(tile_profile, tile_seed, ids)
     return ScenarioTile(
         shard_id=shard_id,
         num_shards=spec.num_shards,
@@ -266,10 +196,10 @@ def generate_tile(
         tile_profile=tile_profile,
         seed=seed,
         tile_seed=tile_seed,
-        system=system,
-        tasks=tasks,
-        catalog=catalog,
-        ownership=ownership,
+        system=scenario.system,
+        tasks=scenario.tasks if num_tasks else (),
+        catalog=scenario.catalog,
+        ownership=scenario.ownership,
     )
 
 

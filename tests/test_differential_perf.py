@@ -402,23 +402,52 @@ class TestArrayGeneratorMatchesReference:
         assert context.telemetry.metrics.counters["generate.array_bailout"] > 0
 
     def test_fused_cost_table_identical_to_gather_loop(self):
+        # A dense scenario (device ids 0..n-1), then shard 2 of a 4-shard
+        # toy city: a tile on stations 4 and 5 whose device ids are 4, 5,
+        # 12, 13, ..., so the hint's owner and source positions differ from
+        # the ids.
         from repro.core import costs as costs_module
+        from repro.system.sharding import ShardSpec
+        from repro.workload.streaming import generate_tile
 
-        profile = PAPER_DEFAULTS.with_updates(
-            num_tasks=50, num_devices=10, num_stations=2
+        hints = []
+
+        def recording_hint(system, tasks):
+            hint = original_hint(system, tasks)
+            hints.append(hint)
+            return hint
+
+        original_hint = costs_module._task_array_hint
+        city = PAPER_DEFAULTS.with_updates(
+            num_tasks=120, num_devices=40, num_stations=8,
+            external_cross_cluster_prob=0.5,
         )
         with use_context(RunContext()):
-            scenario = generate_scenario(profile, seed=4)
-            fused = cluster_costs(scenario.system, scenario.tasks)
-            # Drop the generator's array hint and the table memo: the same
-            # tasks now price through the per-task gather loop.
-            costs_module._TASK_ARRAY_HINTS.pop(scenario.system, None)
-            costs_module._TABLE_CACHE.pop(scenario.system, None)
-            looped = cluster_costs(scenario.system, scenario.tasks)
-        assert fused.time_s.tobytes() == looped.time_s.tobytes()
-        assert fused.energy_j.tobytes() == looped.energy_j.tobytes()
-        assert fused.resource.tobytes() == looped.resource.tobytes()
-        assert fused.deadline_s.tobytes() == looped.deadline_s.tobytes()
+            dense = generate_scenario(
+                PAPER_DEFAULTS.with_updates(
+                    num_tasks=50, num_devices=10, num_stations=2
+                ),
+                seed=4,
+            )
+            tile = generate_tile(city, ShardSpec.balanced(range(8), 4), 2, seed=4)
+            assert list(tile.system.devices)[:3] == [4, 5, 12]
+            for scenario in (dense, tile):
+                hints.clear()
+                with mock.patch.object(
+                    costs_module, "_task_array_hint", recording_hint
+                ):
+                    fused = cluster_costs(scenario.system, scenario.tasks)
+                # The fused branch ran: the generator's arrays were found.
+                assert len(hints) == 1 and hints[0] is not None
+                # Drop the generator's array hint and the table memo: the
+                # same tasks now price through the per-task gather loop.
+                costs_module._TASK_ARRAY_HINTS.pop(scenario.system, None)
+                costs_module._TABLE_CACHE.pop(scenario.system, None)
+                looped = cluster_costs(scenario.system, scenario.tasks)
+                assert fused.time_s.tobytes() == looped.time_s.tobytes()
+                assert fused.energy_j.tobytes() == looped.energy_j.tobytes()
+                assert fused.resource.tobytes() == looped.resource.tobytes()
+                assert fused.deadline_s.tobytes() == looped.deadline_s.tobytes()
 
 
 class TestEngineReplayBitIdentity:

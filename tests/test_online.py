@@ -1,5 +1,7 @@
 """The online extension: arrivals and epoch scheduling."""
 
+from unittest import mock
+
 import pytest
 
 from repro.context import RunContext, use_context
@@ -164,6 +166,41 @@ class TestFaultyScheduling:
         assert telemetry.tasks_recovered == sum(
             1 for e in report.events if e.recovered
         )
+
+    def test_replays_count_events_into_the_passed_context(
+        self, system, arrivals, fault_plan
+    ):
+        # Called outside ``use_context``: the replays must still report to
+        # the context they were handed, not to the ambient one.
+        context = RunContext(seed=0)
+        ambient = RunContext()
+        with use_context(ambient):
+            simulate_online(
+                system, arrivals, OnlineOptions(recovery="reassign"),
+                context=context, fault_plan=fault_plan,
+            )
+        assert context.telemetry.metrics.counters.get("des.events", 0) > 0
+        assert ambient.telemetry.metrics.counters.get("des.events", 0) == 0
+
+    def test_reference_context_reaches_the_closure_kernel(
+        self, system, arrivals, fault_plan
+    ):
+        from repro.des import replay
+
+        closed_form = mock.Mock(wraps=replay.replay_closed_form)
+        kernel = mock.Mock(wraps=replay._replay_events)
+        with mock.patch.object(
+            replay, "replay_closed_form", closed_form
+        ), mock.patch.object(replay, "_replay_events", kernel):
+            simulate_online(
+                system, arrivals, OnlineOptions(recovery="reassign"),
+                context=RunContext(seed=0, reference=True),
+                fault_plan=fault_plan,
+            )
+        # Every healthy replay is dedicated and outage-free, the closed
+        # form's case outside reference mode.
+        assert kernel.call_count > 0
+        assert closed_form.call_count == 0
 
     def test_event_trace_deterministic(self, system, arrivals, fault_plan):
         def run():
