@@ -1,34 +1,30 @@
-"""LP-HTA over a sharded system, with Lagrangian cloud-budget coordination.
+"""LP-HTA with a station partition and a shared cloud budget.
 
 The monolithic :func:`repro.core.hta.lp_hta` already solves clusters
-independently; a shard is a group of whole clusters
-(:mod:`repro.system.sharding`), so with the paper's uncapped cloud the
-sharded solve is *literally* the monolithic solve regrouped:
+independently (paper Sec. III-A), and a shard is a group of whole
+clusters (:class:`repro.system.sharding.ShardSpec`).  So the shard split
+cannot change any per-cluster solve: :func:`lp_hta_sharded` validates its
+spec, then solves the monolithic cluster slices in one block-diagonal
+batch.  With the paper's uncapped cloud that is one solve, bit-identical
+to :func:`~repro.core.hta.lp_hta`.
 
-- each shard view is a standalone :class:`~repro.system.topology.MECSystem`
-  whose cost rows are bitwise equal to the monolithic table's rows (halo
-  devices carry the external-source geometry across the shard boundary),
-- every cluster of every shard pools into the same block-diagonal
-  mega-solve (:func:`repro.core.hta.lp_hta_batch`), whose per-block results
-  are independent of batch composition,
-- concatenating the shard outputs in sorted-station order reproduces the
-  monolithic cluster order, so the final report is bit-identical.
-
-With a *finite* shared cloud budget the shards couple, and the solver runs
-a capacity-splitting outer loop through
+With a *finite* shared cloud budget the clusters couple, and the solver
+runs a capacity-splitting outer loop through
 :func:`repro.core.lagrangian.coordinate_shared_capacity`: the cloud column
 is priced at ν per resource unit, the priced per-cluster relaxations
 decompose again (and batch again), the fractional cloud load drives a
 projected-subgradient update of ν, and each iteration recovers a feasible
 primal by priced rounding plus a global largest-first cloud-overflow
 repair.  Weak duality makes the best dual value a lower bound, so the
-returned report carries an honest duality gap.
+returned report carries an honest duality gap — unless no relaxed
+assignment meets the budget at all, in which case the dual grows without
+bound and the report says the budget is infeasible instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,10 +36,10 @@ from repro.core.hta import (
     ClusterReport,
     HTAReport,
     LPHTAOptions,
+    _ClusterSlice,
     _cluster_slices,
     _options_from_context,
     _solve_p2_ladder,
-    lp_hta_batch,
     lp_hta_cluster,
 )
 from repro.core.lagrangian import (
@@ -53,12 +49,17 @@ from repro.core.lagrangian import (
 )
 from repro.core.lp_builder import reshape_solution
 from repro.core.task import Task
-from repro.system.sharding import ShardSpec, ShardedSystem
+from repro.system.sharding import ShardSpec
 from repro.system.topology import MECSystem
 
 __all__ = ["ShardedHTAReport", "lp_hta_sharded"]
 
 _DEVICE, _STATION, _CLOUD = 0, 1, 2
+
+#: Slack of the budget-feasibility test, per unit of total resource demand.
+#: The interior-point solve stops at a 1e-8 relative residual, so a least
+#: cloud load that is truly 0 comes back as about 1e-7.
+_LOAD_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -70,14 +71,19 @@ class ShardedHTAReport(HTAReport):
     under a binding budget they are the uncoordinated baseline while the
     assignment itself comes from the best coordinated iteration.
 
-    :param num_shards: shards the system was split into.
+    :param num_shards: shards the spec split the stations into.
     :param outer_iterations: coordinator iterations run (0 when the cloud
         budget is infinite and no coordination was needed).
     :param best_dual_j: best Lagrangian dual value — a lower bound on the
-        (capacity-constrained) optimum; equals the LP bound when ν = 0.
+        (capacity-constrained) optimum when the budget is feasible; equals
+        the LP bound when ν = 0, and is ``-inf`` when a block fell to the
+        greedy rung (a one-hot objective bounds nothing).
     :param cloud_capacity: the shared cloud budget.
     :param cloud_load: resource the returned assignment puts on the cloud.
     :param dual_history: dual value per outer iteration.
+    :param budget_feasible: whether some relaxed assignment serving every
+        task meets the budget.  When it does not, the dual grows without
+        bound, so ``best_dual_j`` is no bound and the gaps are NaN.
     """
 
     num_shards: int = 1
@@ -86,6 +92,7 @@ class ShardedHTAReport(HTAReport):
     cloud_capacity: float = float("inf")
     cloud_load: float = 0.0
     dual_history: Tuple[float, ...] = ()
+    budget_feasible: bool = True
 
     @property
     def primal_energy_j(self) -> float:
@@ -94,19 +101,23 @@ class ShardedHTAReport(HTAReport):
 
     @property
     def duality_gap_j(self) -> float:
-        """primal − best dual.
+        """primal − best dual (NaN for an infeasible budget).
 
         Non-negative up to solver tolerance whenever the repair cancelled
         nothing; cancellations can push the primal energy below the bound
         (the bound prices *served* work), which the relative gap guard
         treats as exact.
         """
+        if not self.budget_feasible:
+            return float("nan")
         return self.primal_energy_j - self.best_dual_j
 
     @property
     def relative_gap(self) -> float:
         """Duality gap relative to the dual bound (guarded for the
-        degenerate zero-bound case)."""
+        degenerate zero-bound case; NaN for an infeasible budget)."""
+        if not self.budget_feasible:
+            return float("nan")
         return guarded_relative_gap(self.duality_gap_j, self.best_dual_j)
 
 
@@ -186,12 +197,36 @@ def _priced_costs(costs: ClusterCosts, nu: float) -> ClusterCosts:
         return costs  # identity keeps fingerprints (and cache hits) exact
     energy = costs.energy_j.copy()
     energy[:, _CLOUD] = energy[:, _CLOUD] + nu * costs.resource
-    return ClusterCosts(
-        tasks=costs.tasks,
-        time_s=costs.time_s,
-        energy_j=energy,
-        resource=costs.resource,
-        deadline_s=costs.deadline_s,
+    return replace(costs, energy_j=energy)
+
+
+def _min_cloud_load(
+    slices: Sequence[_ClusterSlice], options: LPHTAOptions, context: RunContext
+) -> float:
+    """A lower bound on the least fractional cloud load of the relaxation.
+
+    Each cluster's P2 is re-solved with ``resource`` as the cost of the
+    cloud column and 0 elsewhere, over the same constraints.  When this
+    exceeds the budget, no relaxed assignment that serves every task meets
+    it, so the priced dual rises without bound as ν grows.  A block that
+    fell to the greedy rung bounds nothing and counts 0, which every
+    block's load is at least.
+    """
+    jobs = []
+    for cluster_slice in slices:
+        cloud_only = np.zeros_like(cluster_slice.costs.energy_j)
+        cloud_only[:, _CLOUD] = cluster_slice.costs.resource
+        jobs.append(
+            (
+                replace(cluster_slice.costs, energy_j=cloud_only),
+                cluster_slice.device_caps,
+                cluster_slice.station_cap,
+            )
+        )
+    return sum(
+        float(result.objective)
+        for result in _solve_p2_ladder(jobs, options, context)
+        if result.backend != "greedy"
     )
 
 
@@ -204,113 +239,79 @@ def lp_hta_sharded(
     cloud_capacity: float = float("inf"),
     context: Optional[RunContext] = None,
 ) -> ShardedHTAReport:
-    """Run LP-HTA shard by shard, coordinating any shared cloud budget.
+    """Run LP-HTA over a station partition, coordinating any cloud budget.
 
     With ``cloud_capacity=inf`` (the paper's model) the result is
     bit-identical to :func:`repro.core.hta.lp_hta` for *any* spec — the
-    differential tests pin this.  With a finite budget the shards couple
+    differential tests pin this.  With a finite budget the clusters couple
     and a Lagrangian outer loop prices the cloud column; the report then
-    carries the duality gap of the best recovered primal.
+    carries the duality gap of the best recovered primal.  Either way the
+    result does not depend on the spec.
 
     :param system: the global MEC system.
     :param tasks: the holistic tasks (global row order).
-    :param spec: station partition; defaults to one shard holding every
-        station.
-    :param options: LP-HTA tunables, shared by every shard.
+    :param spec: station partition; must cover exactly the system's
+        stations.  Defaults to one shard holding every station.
+    :param options: LP-HTA tunables, shared by every cluster.
     :param coordinator: outer-loop tunables (finite budgets only).
-    :param cloud_capacity: shared cloud resource budget.
+    :param cloud_capacity: shared cloud resource budget (``>= 0``).
     :param context: run configuration; defaults to the active context.
     """
+    if not cloud_capacity >= 0:  # also rejects NaN
+        raise ValueError(f"cloud_capacity must be >= 0, got {cloud_capacity!r}")
     context = context if context is not None else current_context()
     if options is None:
         options = _options_from_context(context)
     tasks = list(tasks)
     if spec is None:
         spec = ShardSpec.balanced(system.stations.keys(), 1)
-    sharded = ShardedSystem(system, spec)
-    views = sharded.views(tasks, cloud_capacity=cloud_capacity)
+    spec_stations, system_stations = set(spec.station_ids), set(system.stations)
+    if spec_stations != system_stations:
+        raise ValueError(
+            "shard spec must cover exactly the system's stations (missing "
+            f"{sorted(system_stations - spec_stations)}, "
+            f"unknown {sorted(spec_stations - system_stations)})"
+        )
+    # A shard with no attached device has nothing to solve.
+    solved_shards = sum(
+        1 for shard in spec.shards
+        if any(system.cluster_members(station_id) for station_id in shard)
+    )
     costs = cluster_costs(system, tasks)
+    slices = _cluster_slices(system, tasks, costs)
     telemetry = context.telemetry
+    # The ν = 0 solve's cluster reports and fractional cloud load.
+    unpriced: List[Tuple[Tuple[ClusterReport, ...], float]] = []
 
-    if math.isinf(cloud_capacity):
-        # Uncapped cloud: shards never couple.  One mega-solve pools every
-        # cluster of every shard; regrouping in sorted-station order
-        # reproduces the monolithic output bit for bit.
-        reports = lp_hta_batch(
-            [(view.system, [tasks[row] for row in view.task_rows]) for view in views],
+    def solve_priced(nu: float) -> Tuple[float, float, Tuple[Any, ...], Any]:
+        priced = [_priced_costs(cluster_slice.costs, nu) for cluster_slice in slices]
+        results = _solve_p2_ladder(
+            [
+                (priced_costs, cluster_slice.device_caps, cluster_slice.station_cap)
+                for priced_costs, cluster_slice in zip(priced, slices)
+            ],
             options,
             context,
         )
-        decisions: List[Subsystem] = [Subsystem.CANCELLED] * len(tasks)
-        for view, report in zip(views, reports):
-            for local_row, decision in zip(view.task_rows, report.assignment.decisions):
-                decisions[local_row] = decision
-        clusters = tuple(
-            sorted(
-                (cluster for report in reports for cluster in report.clusters),
-                key=lambda cluster: cluster.station_id,
-            )
-        )
-        assignment = Assignment(costs, decisions)
-        best_dual = sum(cluster.lp_objective_j for cluster in clusters)
-        telemetry.metrics.incr("shard.solves", len(views))
-        gap = assignment.total_energy_j() - best_dual
-        telemetry.metrics.incr("shard.duality_gap_j", gap)
-        relative = guarded_relative_gap(gap, best_dual)
-        if math.isfinite(relative):
-            telemetry.metrics.observe("coordinator.duality_gap_rel", relative)
-        return ShardedHTAReport(
-            assignment=assignment,
-            clusters=clusters,
-            num_shards=spec.num_shards,
-            outer_iterations=0,
-            best_dual_j=best_dual,
-            cloud_capacity=cloud_capacity,
-            cloud_load=_cloud_load(costs, decisions),
-            dual_history=(),
-        )
-
-    # Finite shared budget: decompose per shard at a cloud price ν and let
-    # the coordinator drive ν.  Slices are prepared once — only the priced
-    # energy column changes between iterations.
-    prepared = []
-    for view in views:
-        view_tasks = [tasks[row] for row in view.task_rows]
-        view_costs = cluster_costs(view.system, view_tasks)
-        slices = _cluster_slices(view.system, view_tasks, view_costs)
-        prepared.append((view, slices))
-    base_clusters: List[ClusterReport] = []
-
-    def solve_priced(nu: float) -> Tuple[float, float, Tuple[Any, ...], Any]:
-        jobs = []
-        meta = []
-        for view, slices in prepared:
-            for cluster_slice in slices:
-                priced = _priced_costs(cluster_slice.costs, nu)
-                jobs.append(
-                    (priced, cluster_slice.device_caps, cluster_slice.station_cap)
-                )
-                meta.append((view, cluster_slice, priced))
-        results = _solve_p2_ladder(jobs, options, context)
-        telemetry.metrics.incr("shard.solves", len(prepared))
+        telemetry.metrics.incr("shard.solves", solved_shards)
 
         objective = 0.0
         fractional_load = 0.0
         decisions: List[Subsystem] = [Subsystem.CANCELLED] * len(tasks)
         clusters: List[ClusterReport] = []
         greedy_rung = False
-        for (view, cluster_slice, priced), result in zip(meta, results):
+        for cluster_slice, priced_costs, result in zip(slices, priced, results):
             # A block that fell all the way to the greedy rung carries a
             # one-hot objective, not an LP lower bound: poison the whole
             # iteration's dual value so weak duality stays honest.
             greedy_rung = greedy_rung or result.backend == "greedy"
             objective += float(result.objective)
-            x_fractional = reshape_solution(result.require_ok(), priced.num_tasks)
+            x_fractional = reshape_solution(result.require_ok(), priced_costs.num_tasks)
             fractional_load += float(
-                np.dot(priced.resource, x_fractional[:, _CLOUD])
+                np.dot(priced_costs.resource, x_fractional[:, _CLOUD])
             )
             sub_decisions, report = lp_hta_cluster(
-                priced,
+                priced_costs,
                 cluster_slice.device_caps,
                 cluster_slice.station_cap,
                 options,
@@ -318,15 +319,13 @@ def lp_hta_sharded(
                 context=context,
                 lp_result=result,
             )
-            for local_row, decision in zip(cluster_slice.rows, sub_decisions):
-                decisions[view.task_rows[local_row]] = decision
+            for row, decision in zip(cluster_slice.rows, sub_decisions):
+                decisions[row] = decision
             clusters.append(report)
-        if not base_clusters:
-            # First iteration runs at ν = 0, so these reports are the
+        if not unpriced:
+            # The first solve runs at ν = 0, so these reports are the
             # true-cost (uncoordinated) per-cluster diagnostics.
-            base_clusters.extend(
-                sorted(clusters, key=lambda cluster: cluster.station_id)
-            )
+            unpriced.append((tuple(clusters), fractional_load))
         _repair_cloud_overflow(costs, decisions, system, cloud_capacity)
         energy = float(
             sum(
@@ -342,21 +341,34 @@ def lp_hta_sharded(
             objective = float("-inf")
         return objective, fractional_load, (cancelled, energy), decisions
 
-    outcome = coordinate_shared_capacity(solve_priced, cloud_capacity, coordinator)
-    assignment = Assignment(costs, list(outcome.best_payload))
-    gap = assignment.total_energy_j() - outcome.best_dual_j
-    telemetry.metrics.incr("shard.outer_iterations", outcome.iterations_run)
-    telemetry.metrics.incr("shard.duality_gap_j", gap)
-    relative = guarded_relative_gap(gap, outcome.best_dual_j)
-    if math.isfinite(relative):
-        telemetry.metrics.observe("coordinator.duality_gap_rel", relative)
-    return ShardedHTAReport(
-        assignment=assignment,
-        clusters=tuple(base_clusters),
+    if math.isinf(cloud_capacity):
+        # Uncapped cloud: nothing couples the clusters, so ν = 0 is optimal.
+        best_dual, _, _, decisions = solve_priced(0.0)
+        iterations, history = 0, ()
+    else:
+        outcome = coordinate_shared_capacity(solve_priced, cloud_capacity, coordinator)
+        best_dual, decisions = outcome.best_dual_j, list(outcome.best_payload)
+        iterations, history = outcome.iterations_run, outcome.dual_history
+    clusters, unpriced_load = unpriced[0]
+    report = ShardedHTAReport(
+        assignment=Assignment(costs, decisions),
+        clusters=clusters,
         num_shards=spec.num_shards,
-        outer_iterations=outcome.iterations_run,
-        best_dual_j=outcome.best_dual_j,
+        outer_iterations=iterations,
+        best_dual_j=best_dual,
         cloud_capacity=cloud_capacity,
-        cloud_load=_cloud_load(costs, assignment.decisions),
-        dual_history=outcome.dual_history,
+        cloud_load=_cloud_load(costs, decisions),
+        dual_history=history,
+        budget_feasible=(
+            unpriced_load <= cloud_capacity
+            or _min_cloud_load(slices, options, context)
+            <= cloud_capacity + _LOAD_TOLERANCE * float(costs.resource.sum())
+        ),
     )
+    if iterations:
+        telemetry.metrics.incr("shard.outer_iterations", iterations)
+    if math.isfinite(report.duality_gap_j):
+        telemetry.metrics.incr("shard.duality_gap_j", report.duality_gap_j)
+        if math.isfinite(report.relative_gap):
+            telemetry.metrics.observe("coordinator.duality_gap_rel", report.relative_gap)
+    return report

@@ -17,7 +17,7 @@ from repro.system.radio import (
     WirelessProfile,
     shannon_rate_bps,
 )
-from repro.system.sharding import ShardManifest, ShardSpec, ShardView, ShardedSystem
+from repro.system.sharding import ShardSpec
 from repro.system.topology import MECSystem, SystemParameters, nearest_station_attachment
 
 __all__ = [
@@ -35,10 +35,7 @@ __all__ = [
     "MobileDevice",
     "ResultSizeModel",
     "ShannonChannel",
-    "ShardManifest",
     "ShardSpec",
-    "ShardView",
-    "ShardedSystem",
     "SystemParameters",
     "WIFI",
     "WirelessProfile",

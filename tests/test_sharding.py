@@ -1,4 +1,4 @@
-"""Sharded topology views and the sharded LP-HTA solver."""
+"""Station shard specs and the sharded LP-HTA solver."""
 
 import math
 
@@ -11,7 +11,8 @@ from repro.core.costs import cluster_costs
 from repro.core.hta import lp_hta
 from repro.core.lagrangian import CoordinatorOptions
 from repro.core.sharded import lp_hta_sharded
-from repro.system.sharding import ShardSpec, ShardedSystem
+from repro.lp.result import LPResult, LPStatus
+from repro.system.sharding import ShardSpec
 from repro.workload import PAPER_DEFAULTS, generate_scenario
 
 
@@ -60,65 +61,28 @@ class TestShardSpec:
         with pytest.raises(ValueError, match="repeats"):
             ShardSpec(((0, 0),))
 
-    def test_shard_of(self):
-        spec = ShardSpec(((0, 1), (2, 3)))
-        assert spec.shard_of(1) == 0
-        assert spec.shard_of(3) == 1
-        with pytest.raises(KeyError):
-            spec.shard_of(9)
 
-
-class TestShardedSystem:
+class TestEntryValidation:
     def test_spec_must_cover_stations(self, scenario):
-        with pytest.raises(ValueError, match="cover exactly"):
-            ShardedSystem(scenario.system, ShardSpec(((0, 1),)))
-        with pytest.raises(ValueError, match="cover exactly"):
-            ShardedSystem(scenario.system, ShardSpec(((0, 1, 2, 3, 4),)))
+        for spec in (ShardSpec(((0, 1),)), ShardSpec(((0, 1, 2, 3, 4),))):
+            with pytest.raises(ValueError, match="cover exactly"):
+                lp_hta_sharded(scenario.system, list(scenario.tasks), spec=spec)
 
-    def test_views_partition_tasks(self, scenario):
-        spec = ShardSpec.balanced(range(4), 2)
-        views = ShardedSystem(scenario.system, spec).views(
-            list(scenario.tasks)
-        )
-        rows = sorted(row for view in views for row in view.task_rows)
-        assert rows == list(range(len(scenario.tasks)))
-        for view in views:
-            for row in view.task_rows:
-                owner = scenario.tasks[row].owner_device_id
-                station = scenario.system.cluster_of(owner)
-                assert station in view.manifest.core_stations
+    @pytest.mark.parametrize("capacity", [-1.0, float("nan")])
+    def test_rejects_negative_or_nan_cloud_capacity(self, scenario, capacity):
+        with pytest.raises(ValueError, match="cloud_capacity"):
+            lp_hta_sharded(
+                scenario.system, list(scenario.tasks), cloud_capacity=capacity
+            )
 
-    def test_halo_devices_cover_external_sources(self, scenario):
-        spec = ShardSpec.balanced(range(4), 4)
-        views = ShardedSystem(scenario.system, spec).views(
-            list(scenario.tasks)
-        )
-        for view in views:
-            members = set(view.system.devices)
-            for row in view.task_rows:
-                source = scenario.tasks[row].external_source
-                if source is not None:
-                    assert source in members
-            core = set(view.manifest.core_devices)
-            assert set(view.manifest.halo_devices) == members - core
-
-    def test_halo_stations_carry_cross_shard_caps(self, scenario):
-        spec = ShardSpec.balanced(range(4), 4)
-        views = ShardedSystem(scenario.system, spec).views(
-            list(scenario.tasks)
-        )
-        for view in views:
-            capped = dict(view.manifest.cross_shard_station_caps)
-            assert sorted(capped) == list(view.manifest.halo_stations)
-            for station_id, cap in capped.items():
-                assert cap == scenario.system.station(station_id).max_resource
-
-    def test_manifests_include_every_shard(self, scenario):
-        spec = ShardSpec.balanced(range(4), 4)
-        manifests = ShardedSystem(scenario.system, spec).manifests()
-        assert [m.shard_id for m in manifests] == [0, 1, 2, 3]
-        devices = sorted(d for m in manifests for d in m.core_devices)
-        assert devices == sorted(scenario.system.devices)
+    def test_zero_cloud_capacity_is_a_feasible_budget(self, scenario):
+        with use_context(RunContext()):
+            report = lp_hta_sharded(
+                scenario.system, list(scenario.tasks), cloud_capacity=0.0
+            )
+        assert report.cloud_load == 0.0
+        assert report.budget_feasible
+        assert math.isfinite(report.duality_gap_j)
 
 
 class TestDifferentialUncapped:
@@ -162,6 +126,34 @@ class TestDifferentialUncapped:
             )
         assert context.telemetry.shard_solves == 3
         assert "shard solves" in context.telemetry.summary()
+
+    def test_greedy_rung_poisons_the_dual(self, scenario, monkeypatch):
+        # Every LP rung fails, so each block falls to the greedy rung,
+        # whose one-hot objective is no lower bound.
+        def failed(backend):
+            return LPResult(
+                status=LPStatus.NUMERICAL_ERROR, x=None, objective=float("nan"),
+                iterations=0, backend=backend, message="rigged non-convergence",
+            )
+
+        monkeypatch.setattr(
+            "repro.core.hta.lp_solve",
+            lambda lp, backend, **kwargs: failed(backend),
+        )
+        monkeypatch.setattr(
+            "repro.core.hta.solve_structured_batch",
+            lambda blocks: [failed("structured") for _ in blocks],
+        )
+        monkeypatch.setattr(
+            "repro.core.hta.solve_interior_point_batch",
+            lambda problems: [failed("interior-point") for _ in problems],
+        )
+        context = RunContext()
+        with use_context(context):
+            report = lp_hta_sharded(scenario.system, list(scenario.tasks))
+        assert {c.lp_backend for c in report.clusters} == {"greedy"}
+        assert report.best_dual_j == float("-inf")
+        assert "shard.duality_gap_j" not in context.telemetry.metrics.counters
 
 
 class TestCoordinatedCapped:
@@ -216,6 +208,60 @@ class TestCoordinatedCapped:
             )
         assert again.assignment.decisions == report.assignment.decisions
         assert again.dual_history == report.dual_history
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ShardSpec.balanced(range(4), 1),
+            ShardSpec.balanced(range(4), 4),
+            ShardSpec(((0, 2), (1, 3))),
+        ],
+        ids=["1", "4", "non-contiguous"],
+    )
+    def test_shard_split_changes_nothing(self, capped, loaded_scenario, spec):
+        report, _ = capped
+        with use_context(RunContext()):
+            again = lp_hta_sharded(
+                loaded_scenario.system,
+                list(loaded_scenario.tasks),
+                spec=spec,
+                cloud_capacity=60.0,
+            )
+        assert again.assignment.decisions == report.assignment.decisions
+        assert again.clusters == report.clusters
+        assert again.best_dual_j == report.best_dual_j
+        assert again.dual_history == report.dual_history
+
+    def test_infeasible_budget_claims_no_bound(self, capped):
+        # The relaxation needs about 190 resource units on the cloud to
+        # serve every task, so no ν bounds the dual: it only climbs.
+        report, context = capped
+        assert not report.budget_feasible
+        assert list(report.dual_history) == sorted(report.dual_history)
+        assert math.isnan(report.duality_gap_j)
+        assert math.isnan(report.relative_gap)
+        assert "shard.duality_gap_j" not in context.telemetry.metrics.counters
+        assert "coordinator.duality_gap_rel" not in context.telemetry.metrics.histograms
+
+    def test_feasible_budget_reports_a_finite_gap(self):
+        scenario = generate_scenario(
+            PAPER_DEFAULTS.with_updates(
+                num_devices=12, num_stations=4, num_tasks=100
+            ),
+            seed=9,
+        )
+        context = RunContext()
+        with use_context(context):
+            report = lp_hta_sharded(
+                scenario.system, list(scenario.tasks), cloud_capacity=1.0
+            )
+        assert report.budget_feasible
+        assert report.cloud_load <= 1.0
+        assert math.isfinite(report.duality_gap_j)
+        assert math.isfinite(report.relative_gap)
+        assert context.telemetry.metrics.counters["shard.duality_gap_j"] == (
+            report.duality_gap_j
+        )
 
     def test_uncapped_cloud_load_exceeds_budget(self, loaded_scenario):
         # The budget genuinely binds: without it the cloud takes more.
