@@ -29,87 +29,58 @@ run configuration through an explicit, immutable
     from repro import RunContext, registry, use_context
 
     result = registry.run("LP-HTA", scenario, RunContext(reference=True))
+
+Every name below is imported on first use (:mod:`repro._lazy`), so
+``import repro`` loads only the modules a run reaches.
 """
 
-from repro import registry
-from repro.context import RunContext, Telemetry, current_context, use_context
-from repro.core import (
-    Assignment,
-    HTAReport,
-    LPHTAOptions,
-    Subsystem,
-    Task,
-    all_offload,
-    all_to_cloud,
-    branch_and_bound_hta,
-    brute_force_hta,
-    cluster_costs,
-    hgos,
-    lp_hta,
-    task_costs,
-)
-from repro.dta import (
-    Coverage,
-    DTAOutcome,
-    dta_number,
-    dta_workload,
-    rearrange_tasks,
-    run_dta,
-)
-from repro.system import (
-    BaseStation,
-    Cloud,
-    FOUR_G,
-    MECSystem,
-    MobileDevice,
-    SystemParameters,
-    WIFI,
-    WirelessProfile,
-)
-from repro.workload import (
-    PAPER_DEFAULTS,
-    Scenario,
-    WorkloadProfile,
-    generate_scenario,
+from repro._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "registry": (),
+        "context": ("RunContext", "Telemetry", "current_context", "use_context"),
+        "core": (
+            "Assignment",
+            "HTAReport",
+            "LPHTAOptions",
+            "Subsystem",
+            "Task",
+            "all_offload",
+            "all_to_cloud",
+            "branch_and_bound_hta",
+            "brute_force_hta",
+            "cluster_costs",
+            "hgos",
+            "lp_hta",
+            "task_costs",
+        ),
+        "dta": (
+            "Coverage",
+            "DTAOutcome",
+            "dta_number",
+            "dta_workload",
+            "rearrange_tasks",
+            "run_dta",
+        ),
+        "system": (
+            "BaseStation",
+            "Cloud",
+            "FOUR_G",
+            "MECSystem",
+            "MobileDevice",
+            "SystemParameters",
+            "WIFI",
+            "WirelessProfile",
+        ),
+        "workload": (
+            "PAPER_DEFAULTS",
+            "Scenario",
+            "WorkloadProfile",
+            "generate_scenario",
+        ),
+    },
 )
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "Assignment",
-    "BaseStation",
-    "Cloud",
-    "Coverage",
-    "DTAOutcome",
-    "FOUR_G",
-    "HTAReport",
-    "LPHTAOptions",
-    "MECSystem",
-    "MobileDevice",
-    "PAPER_DEFAULTS",
-    "RunContext",
-    "Scenario",
-    "Subsystem",
-    "SystemParameters",
-    "Task",
-    "Telemetry",
-    "WIFI",
-    "WirelessProfile",
-    "WorkloadProfile",
-    "all_offload",
-    "all_to_cloud",
-    "branch_and_bound_hta",
-    "brute_force_hta",
-    "cluster_costs",
-    "current_context",
-    "dta_number",
-    "dta_workload",
-    "generate_scenario",
-    "hgos",
-    "lp_hta",
-    "rearrange_tasks",
-    "registry",
-    "run_dta",
-    "task_costs",
-    "use_context",
-]

@@ -9,20 +9,14 @@ hop.  The evaluator quantifies the energy/latency the cache saves over the
 paper's cache-less pipeline.
 """
 
-from repro.caching.cache import CacheStats, LFUCache, LRUCache, ResultCache
-from repro.caching.evaluator import CachingReport, simulate_with_cache
-from repro.caching.lp_cache import LPSolveCache, fingerprint_problem
-from repro.caching.workload import QueryCatalog, zipf_query_stream
+from repro._lazy import attach
 
-__all__ = [
-    "CacheStats",
-    "CachingReport",
-    "LFUCache",
-    "LPSolveCache",
-    "LRUCache",
-    "QueryCatalog",
-    "ResultCache",
-    "fingerprint_problem",
-    "simulate_with_cache",
-    "zipf_query_stream",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "cache": ("CacheStats", "LFUCache", "LRUCache", "ResultCache"),
+        "evaluator": ("CachingReport", "simulate_with_cache"),
+        "lp_cache": ("LPSolveCache", "fingerprint_problem"),
+        "workload": ("QueryCatalog", "zipf_query_stream"),
+    },
+)

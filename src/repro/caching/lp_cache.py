@@ -20,10 +20,10 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.caching.cache import CacheStats
 from repro.context import Telemetry
+from repro.lp.problem import is_sparse_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.lp.problem import LinearProgram
@@ -48,7 +48,9 @@ def _update(digest: "hashlib._Hash", label: bytes, array: Optional[np.ndarray]) 
     if array is None:
         digest.update(b"<none>")
         return
-    if sp.issparse(array):
+    if is_sparse_matrix(array):
+        import scipy.sparse as sp
+
         csr = sp.csr_array(array, dtype=float)
         digest.update(b"<csr>")
         digest.update(str(csr.shape).encode())

@@ -1,56 +1,31 @@
 """Core contribution: the HTA problem, LP-HTA, baselines and exact solvers."""
 
-from repro.core.assignment import Assignment, AssignmentStats, Subsystem
-from repro.core.baselines import (
-    all_offload,
-    all_to_cloud,
-    hgos,
-    local_first,
-    random_assignment,
-)
-from repro.core.costs import ClusterCosts, TaskCosts, cluster_costs, task_costs
-from repro.core.exact import branch_and_bound_hta, brute_force_hta
-from repro.core.game import GameOptions, GameResult, best_response_offloading
-from repro.core.hta import HTAReport, LPHTAOptions, lp_hta
-from repro.core.lagrangian import (
-    CoordinatorOptions,
-    CoordinatorOutcome,
-    LagrangianOptions,
-    LagrangianReport,
-    coordinate_shared_capacity,
-    lagrangian_hta,
-)
-from repro.core.sharded import ShardedHTAReport, lp_hta_sharded
-from repro.core.task import Task
+from repro._lazy import attach
 
-__all__ = [
-    "Assignment",
-    "AssignmentStats",
-    "ClusterCosts",
-    "CoordinatorOptions",
-    "CoordinatorOutcome",
-    "GameOptions",
-    "GameResult",
-    "HTAReport",
-    "LPHTAOptions",
-    "LagrangianOptions",
-    "LagrangianReport",
-    "ShardedHTAReport",
-    "Subsystem",
-    "Task",
-    "TaskCosts",
-    "best_response_offloading",
-    "coordinate_shared_capacity",
-    "lagrangian_hta",
-    "lp_hta_sharded",
-    "all_offload",
-    "all_to_cloud",
-    "branch_and_bound_hta",
-    "brute_force_hta",
-    "cluster_costs",
-    "hgos",
-    "local_first",
-    "lp_hta",
-    "random_assignment",
-    "task_costs",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "assignment": ("Assignment", "AssignmentStats", "Subsystem"),
+        "baselines": (
+            "all_offload",
+            "all_to_cloud",
+            "hgos",
+            "local_first",
+            "random_assignment",
+        ),
+        "costs": ("ClusterCosts", "TaskCosts", "cluster_costs", "task_costs"),
+        "exact": ("branch_and_bound_hta", "brute_force_hta"),
+        "game": ("GameOptions", "GameResult", "best_response_offloading"),
+        "hta": ("HTAReport", "LPHTAOptions", "lp_hta"),
+        "lagrangian": (
+            "CoordinatorOptions",
+            "CoordinatorOutcome",
+            "LagrangianOptions",
+            "LagrangianReport",
+            "coordinate_shared_capacity",
+            "lagrangian_hta",
+        ),
+        "sharded": ("ShardedHTAReport", "lp_hta_sharded"),
+        "task": ("Task",),
+    },
+)

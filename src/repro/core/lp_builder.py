@@ -19,16 +19,18 @@ to 1 and let Step 4 do the cancelling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.context import current_context
 from repro.core.costs import NUM_SUBSYSTEMS, ClusterCosts
 from repro.obs.tracer import staged
 from repro.lp.problem import LinearProgram
 from repro.lp.structured import GroupedBoundedLP
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "P2Build",
@@ -114,6 +116,8 @@ def _assemble_ub_sparse(
     Returns ``(None, None)`` in exactly the cases the dense path collapses
     ``a_ub`` to ``None``: no variables or no finite-cap rows.
     """
+    import scipy.sparse as sp
+
     rows_parts: List[np.ndarray] = []
     cols_parts: List[np.ndarray] = []
     data_parts: List[np.ndarray] = []
@@ -178,6 +182,10 @@ def build_p2(
     upper, doomed = _deadline_bounds(costs, relax_deadline_bounds)
 
     if not current_context().reference:
+        # The interior-point and simplex rungs take this assembly; the
+        # structured rung that runs by default never loads SciPy.
+        import scipy.sparse as sp
+
         a_ub, b_ub = _assemble_ub_sparse(
             costs, device_caps, station_cap, n_tasks, n_vars
         )

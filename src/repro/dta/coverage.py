@@ -28,8 +28,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.context import current_context
 from repro.data.items import DataCatalog
 from repro.data.ownership import OwnershipMap
@@ -341,6 +339,8 @@ def _maxflow_feasible(
 
     Returns the per-device sets if a full assignment exists, else None.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     source, sink = "s", "t"
     for item in universe:

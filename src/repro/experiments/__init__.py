@@ -1,83 +1,48 @@
 """Experiment harness: one reproducer per figure/table of Section V."""
 
-from repro.experiments.runner import (
-    AlgorithmResult,
-    evaluate_dta,
-    evaluate_holistic,
-    HOLISTIC_ALGORITHMS,
-)
-from repro.experiments.series import SeriesData
-from repro.experiments.figures import (
-    ALL_FIGURES,
-    fig2a,
-    fig2b,
-    fig3,
-    fig4a,
-    fig4b,
-    fig5a,
-    fig5b,
-    fig6a,
-    fig6b,
-    run_figure,
-)
-from repro.experiments.breakdown import EnergyBreakdown, energy_breakdown
-from repro.experiments.grid import GridCell, pivot, run_grid
-from repro.experiments.parallel import (
-    EvaluatorSpec,
-    SweepCell,
-    as_spec,
-    dta_spec,
-    holistic_spec,
-    run_cells,
-)
-from repro.experiments.ratio_study import RatioStudy, run_ratio_study
-from repro.experiments.resilience import (
-    ResilienceEvaluator,
-    ResilienceResult,
-    ResilienceStudy,
-    resilience_sweep,
-)
-from repro.experiments.stats import Summary, bootstrap_ci, mean_ci, summarize
-from repro.experiments.tables import table1_rows, table1_text
+from repro._lazy import attach
 
-__all__ = [
-    "EnergyBreakdown",
-    "EvaluatorSpec",
-    "GridCell",
-    "SweepCell",
-    "as_spec",
-    "dta_spec",
-    "holistic_spec",
-    "run_cells",
-    "energy_breakdown",
-    "pivot",
-    "run_grid",
-    "RatioStudy",
-    "ResilienceEvaluator",
-    "ResilienceResult",
-    "ResilienceStudy",
-    "resilience_sweep",
-    "Summary",
-    "bootstrap_ci",
-    "mean_ci",
-    "run_ratio_study",
-    "summarize",
-    "ALL_FIGURES",
-    "AlgorithmResult",
-    "HOLISTIC_ALGORITHMS",
-    "SeriesData",
-    "evaluate_dta",
-    "evaluate_holistic",
-    "fig2a",
-    "fig2b",
-    "fig3",
-    "fig4a",
-    "fig4b",
-    "fig5a",
-    "fig5b",
-    "fig6a",
-    "fig6b",
-    "run_figure",
-    "table1_rows",
-    "table1_text",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "runner": (
+            "AlgorithmResult",
+            "evaluate_dta",
+            "evaluate_holistic",
+            "HOLISTIC_ALGORITHMS",
+        ),
+        "series": ("SeriesData",),
+        "figures": (
+            "ALL_FIGURES",
+            "fig2a",
+            "fig2b",
+            "fig3",
+            "fig4a",
+            "fig4b",
+            "fig5a",
+            "fig5b",
+            "fig6a",
+            "fig6b",
+            "run_figure",
+        ),
+        "breakdown": ("EnergyBreakdown", "energy_breakdown"),
+        "grid": ("GridCell", "pivot", "run_grid"),
+        "parallel": (
+            "EvaluatorSpec",
+            "SweepCell",
+            "as_spec",
+            "dta_spec",
+            "holistic_spec",
+            "run_cells",
+        ),
+        "ratio_study": ("RatioStudy", "run_ratio_study"),
+        "resilience": (
+            "ResilienceEvaluator",
+            "ResilienceResult",
+            "ResilienceStudy",
+            "resilience_sweep",
+        ),
+        "stats": ("Summary", "bootstrap_ci", "mean_ci", "summarize"),
+        "tables": ("table1_rows", "table1_text"),
+    },
+)

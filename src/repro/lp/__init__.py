@@ -12,22 +12,16 @@ LP-HTA's Step 1 solves the relaxed problem P2 with an interior-point method
   used only to validate our solvers in the test suite).
 """
 
-from repro.lp.problem import LinearProgram, StandardFormLP
-from repro.lp.result import LPResult, LPStatus
-from repro.lp.interior_point import solve_interior_point
-from repro.lp.simplex import solve_simplex
-from repro.lp.structured import GroupedBoundedLP, solve_structured
-from repro.lp.backends import available_backends, solve
+from repro._lazy import attach
 
-__all__ = [
-    "GroupedBoundedLP",
-    "LinearProgram",
-    "LPResult",
-    "LPStatus",
-    "StandardFormLP",
-    "available_backends",
-    "solve",
-    "solve_interior_point",
-    "solve_simplex",
-    "solve_structured",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "problem": ("LinearProgram", "StandardFormLP"),
+        "result": ("LPResult", "LPStatus"),
+        "interior_point": ("solve_interior_point",),
+        "simplex": ("solve_simplex",),
+        "structured": ("GroupedBoundedLP", "solve_structured"),
+        "backends": ("available_backends", "solve"),
+    },
+)

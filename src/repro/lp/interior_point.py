@@ -18,16 +18,16 @@ The solver works on :class:`~repro.lp.problem.StandardFormLP`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.sparse.linalg import splu
 
-from repro.lp.problem import LinearProgram, StandardFormLP
+from repro.lp.problem import LinearProgram, StandardFormLP, is_sparse_matrix
 from repro.lp.result import LPResult, LPStatus
 from repro.obs.tracer import traced
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["IPMOptions", "solve_interior_point", "solve_interior_point_batch"]
 
@@ -72,6 +72,8 @@ def _initial_point(
     a: np.ndarray, b: np.ndarray, c: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mehrotra's heuristic starting point (strictly positive x, s)."""
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
     m = a.shape[0]
     gram = a @ a.T + 1e-10 * np.eye(m)
     try:
@@ -90,6 +92,9 @@ def _initial_point_sparse(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mehrotra's starting point computed with a sparse LU of the Gram
     matrix; falls back to dense least squares if the factorisation fails."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     m = a.shape[0]
     gram = (a @ a.T).tocsc() + 1e-10 * sp.eye_array(m, format="csc")
     try:
@@ -140,9 +145,16 @@ def _solve_standard_form(lp: StandardFormLP, options: IPMOptions) -> LPResult:
     """Run the predictor–corrector loop on a standard-form LP."""
     a, b, c = lp.a, lp.b, lp.c
     m, n = a.shape
-    sparse = sp.issparse(a)
+    # SciPy loads here, on the first solve: the structured rung that runs
+    # by default never needs it.
+    sparse = is_sparse_matrix(a)
     if sparse:
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import splu
+
         a = sp.csr_array(a, dtype=float)
+    else:
+        from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
     if n == 0:
         feasible = bool(np.allclose(b, 0.0))

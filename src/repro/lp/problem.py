@@ -21,21 +21,36 @@ performs the same floating-point operations.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 
-__all__ = ["LinearProgram", "StandardFormLP"]
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
-#: A constraint matrix: dense ndarray or any SciPy sparse container.
-MatrixLike = Union[np.ndarray, sp.spmatrix, sp.sparray]
+    #: A constraint matrix: dense ndarray or any SciPy sparse container.
+    MatrixLike = Union[np.ndarray, sp.spmatrix, sp.sparray]
+
+__all__ = ["LinearProgram", "StandardFormLP", "is_sparse_matrix"]
+
+
+def is_sparse_matrix(obj: Any) -> bool:
+    """``scipy.sparse.issparse(obj)``, without importing SciPy.
+
+    A SciPy sparse container cannot exist before ``scipy.sparse`` has been
+    imported, so while it is absent from ``sys.modules`` the answer is no.
+    """
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(obj)
 
 
 def _as_matrix(mat: MatrixLike) -> MatrixLike:
     """Normalise a constraint block: CSR float for sparse, ndarray float else."""
-    if sp.issparse(mat):
+    if is_sparse_matrix(mat):
+        import scipy.sparse as sp
+
         return sp.csr_array(mat, dtype=float)
     return np.asarray(mat, dtype=float)
 
@@ -78,7 +93,7 @@ class StandardFormLP:
     @property
     def is_sparse(self) -> bool:
         """Whether the constraint matrix is a SciPy sparse container."""
-        return sp.issparse(self.a)
+        return is_sparse_matrix(self.a)
 
     def extract_original(self, x: np.ndarray) -> np.ndarray:
         """Project a standard-form solution back to the original variables."""
@@ -152,7 +167,7 @@ class LinearProgram:
     @property
     def is_sparse(self) -> bool:
         """Whether any constraint block is a SciPy sparse container."""
-        return sp.issparse(self.a_ub) or sp.issparse(self.a_eq)
+        return is_sparse_matrix(self.a_ub) or is_sparse_matrix(self.a_eq)
 
     def objective(self, x: np.ndarray) -> float:
         """Evaluate :math:`c^T x`."""
@@ -201,6 +216,8 @@ class LinearProgram:
         c[:n] = self.c
 
         if self.is_sparse:
+            import scipy.sparse as sp
+
             # Same layout as the dense branch, assembled as COO triplets.
             # Assembly only *places* coefficients (no summation), so the
             # resulting matrix is entry-for-entry equal to the dense one.

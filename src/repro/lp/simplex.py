@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.lp.problem import LinearProgram, StandardFormLP
+from repro.lp.problem import LinearProgram, StandardFormLP, is_sparse_matrix
 from repro.lp.result import LPResult, LPStatus
 from repro.obs.tracer import traced
 
@@ -96,7 +95,7 @@ def _run_simplex(
 def _solve_standard_form(lp: StandardFormLP, options: SimplexOptions) -> LPResult:
     """Two-phase simplex on a standard-form LP."""
     # The tableau method is inherently dense; densify sparse inputs up front.
-    a = lp.a.toarray() if sp.issparse(lp.a) else lp.a.copy()
+    a = lp.a.toarray() if is_sparse_matrix(lp.a) else lp.a.copy()
     b = lp.b.copy()
     c = lp.c
     m, n = a.shape

@@ -17,8 +17,25 @@ still initialising (its default telemetry sink holds one of each), so this
 ``repro.context`` back and must not load until it is complete.
 """
 
+from repro._lazy import attach
 from repro.obs.metrics import Histogram, Metrics, bounds_for
 from repro.obs.spans import SpanLog, SpanRecord
+
+__getattr__, __dir__, _LAZY = attach(
+    __name__,
+    {
+        "tracer": ("NOOP_SPAN", "record_span", "span", "stage", "staged", "traced"),
+        "export": (
+            "CANONICAL_STAGES",
+            "canonical_trace",
+            "chrome_trace",
+            "jsonl_lines",
+            "stage_report",
+            "write_chrome_trace",
+            "write_jsonl",
+        ),
+    },
+)
 
 __all__ = [
     "Histogram",
@@ -26,41 +43,5 @@ __all__ = [
     "SpanLog",
     "SpanRecord",
     "bounds_for",
-    # lazy (PEP 562): tracer and export layers
-    "NOOP_SPAN",
-    "record_span",
-    "span",
-    "stage",
-    "staged",
-    "traced",
-    "CANONICAL_STAGES",
-    "canonical_trace",
-    "chrome_trace",
-    "jsonl_lines",
-    "stage_report",
-    "write_chrome_trace",
-    "write_jsonl",
+    *_LAZY,
 ]
-
-_TRACER = ("NOOP_SPAN", "record_span", "span", "stage", "staged", "traced")
-_EXPORT = (
-    "CANONICAL_STAGES",
-    "canonical_trace",
-    "chrome_trace",
-    "jsonl_lines",
-    "stage_report",
-    "write_chrome_trace",
-    "write_jsonl",
-)
-
-
-def __getattr__(name):
-    if name in _TRACER:
-        from repro.obs import tracer
-
-        return getattr(tracer, name)
-    if name in _EXPORT:
-        from repro.obs import export
-
-        return getattr(export, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

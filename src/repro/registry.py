@@ -49,7 +49,6 @@ from repro.core.baselines import (
 )
 from repro.core.costs import ClusterCosts, cluster_costs
 from repro.core.exact import branch_and_bound_hta
-from repro.core.game import best_response_offloading
 from repro.core.hta import lp_hta, lp_hta_batch
 from repro.core.task import Task
 from repro.dta.accounting import evaluate_plans, prepare_dta, run_dta
@@ -371,6 +370,9 @@ def _assign_all_offload(
 def _assign_game(
     system: MECSystem, tasks: Sequence[Task], context: RunContext
 ) -> Assignment:
+    # An extension no figure runs: imported when its evaluator runs.
+    from repro.core.game import best_response_offloading
+
     return best_response_offloading(system, list(tasks)).assignment
 
 

@@ -9,9 +9,7 @@ base station reaches the remote cloud.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Tuple
 
 from repro.system.computation import (
     DEFAULT_KAPPA,
@@ -24,6 +22,9 @@ from repro.system.links import (
     DEFAULT_BS_CLOUD_LINK,
     BackhaulLink,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["MECSystem", "SystemParameters", "nearest_station_attachment"]
 
@@ -238,6 +239,8 @@ class MECSystem:
         Nodes are ``("device", id)``, ``("station", id)`` and ``"cloud"``;
         edges carry a ``kind`` attribute in {"radio", "backhaul", "wan"}.
         """
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_node("cloud", kind="cloud")
         for station_id in self._stations:

@@ -190,12 +190,29 @@ class TestCoordinatedCapped:
         assert len(report.dual_history) == report.outer_iterations
         assert context.telemetry.coordinator_iterations == report.outer_iterations
 
-    def test_dual_is_a_lower_bound_without_cancellations(self, capped):
-        report, _ = capped
-        counts = report.assignment.subsystem_counts()
-        if counts[Subsystem.CANCELLED] == 0:
-            assert report.duality_gap_j >= -1e-6
-        assert math.isfinite(report.best_dual_j)
+    def test_dual_is_a_lower_bound_without_cancellations(self):
+        # Deadlines loose enough that no task is cancelled, and a budget
+        # equal to the load the uncapped solve puts on the cloud: the
+        # budget is feasible, so the dual bounds the served energy.
+        scenario = generate_scenario(
+            PAPER_DEFAULTS.with_updates(
+                num_devices=12,
+                num_stations=4,
+                num_tasks=200,
+                deadline_range_s=(20.0, 40.0),
+            ),
+            seed=3,
+        )
+        tasks = list(scenario.tasks)
+        with use_context(RunContext()):
+            free = lp_hta_sharded(scenario.system, tasks)
+            report = lp_hta_sharded(
+                scenario.system, tasks, cloud_capacity=free.cloud_load
+            )
+        assert free.cloud_load > 0.0
+        assert report.budget_feasible is True
+        assert report.assignment.subsystem_counts()[Subsystem.CANCELLED] == 0
+        assert report.duality_gap_j >= -1e-6
 
     def test_deterministic(self, capped, loaded_scenario):
         report, _ = capped
@@ -236,7 +253,9 @@ class TestCoordinatedCapped:
         # The relaxation needs about 190 resource units on the cloud to
         # serve every task, so no ν bounds the dual: it only climbs.
         report, context = capped
-        assert not report.budget_feasible
+        assert report.budget_feasible is False
+        assert report.assignment.subsystem_counts()[Subsystem.CANCELLED] > 0
+        assert math.isfinite(report.best_dual_j)
         assert list(report.dual_history) == sorted(report.dual_history)
         assert math.isnan(report.duality_gap_j)
         assert math.isnan(report.relative_gap)
