@@ -33,8 +33,7 @@ from repro.context import RunContext, current_context, use_context
 from repro.experiments.figures import ALL_FIGURES, DEFAULT_SEEDS, run_figure
 from repro.experiments.parallel import pool_scope
 from repro.experiments.tables import table1_text
-from repro.faults import RECOVERY_POLICIES
-from repro.online.scheduler import POLICIES
+from repro.policies import ONLINE_POLICIES, RECOVERY_POLICIES
 
 __all__ = ["main"]
 
@@ -219,7 +218,9 @@ def _build_parser() -> argparse.ArgumentParser:
     online = sub.add_parser(
         "online", help="epoch-scheduled Poisson arrivals, optionally mobile"
     )
-    online.add_argument("--policy", choices=POLICIES, default=POLICIES[0])
+    online.add_argument(
+        "--policy", choices=ONLINE_POLICIES, default=ONLINE_POLICIES[0]
+    )
     online.add_argument("--rate", type=float, default=0.5, help="arrivals/second")
     online.add_argument("--horizon", type=float, default=600.0, help="seconds")
     online.add_argument("--epoch", type=float, default=60.0, help="epoch length, s")
@@ -249,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scenario/fault seeds to average over",
     )
     resilience.add_argument(
-        "--policy", choices=POLICIES, default=POLICIES[0],
+        "--policy", choices=ONLINE_POLICIES, default=ONLINE_POLICIES[0],
         help="planning policy run every epoch",
     )
     resilience.add_argument(
@@ -463,7 +464,9 @@ def _resilience(args: argparse.Namespace) -> None:
         with open(args.trace_out, "w") as handle:
             handle.write(study.trace_json())
             handle.write("\n")
-        print(f"\nrecovery-event trace written to {args.trace_out}")
+        print(
+            f"\nrecovery-event trace written to {args.trace_out}", file=sys.stderr
+        )
 
 
 if __name__ == "__main__":

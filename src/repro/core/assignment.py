@@ -163,8 +163,9 @@ class Assignment:
         if current_context().reference:
             return sum(self.task_energy_j(row) for row in range(self.costs.num_tasks))
         rows, cols = self._assigned_rows_cols()
-        # Python sum over the row-ordered values: same sequential float
-        # accumulation as summing task_energy_j per row.
+        # Builtin sum over the same exact floats, in the same row order, as
+        # the reference's sum of task_energy_j: the two paths agree on
+        # every Python (left to right before 3.12, compensated from 3.12).
         return float(sum(self.costs.energy_j[rows, cols].tolist()))
 
     def latencies_s(self) -> List[float]:

@@ -18,8 +18,9 @@ base stations, so no BS–BS hop appears there.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -199,23 +200,51 @@ class ClusterCosts:
             l for l in range(NUM_SUBSYSTEMS) if self.time_s[row, l] <= self.deadline_s[row]
         )
 
-    def owner_rows(self) -> Dict[int, np.ndarray]:
-        """Row indices grouped by owning device id.
+    def owner_ids(self) -> np.ndarray:
+        """The owning device id of every row (int64, computed once)."""
+        cached = self.__dict__.get("_owner_ids")
+        if cached is None:
+            cached = np.fromiter(
+                (task.owner_device_id for task in self.tasks),
+                dtype=np.int64,
+                count=len(self.tasks),
+            )
+            # Frozen dataclass: memoise via __dict__ to bypass __setattr__.
+            self.__dict__["_owner_ids"] = cached
+        return cached
 
-        The grouping is computed once and cached (this accessor is called
-        per LP build); treat the returned mapping as read-only.
+    def owner_rows(self) -> Dict[int, np.ndarray]:
+        """Row indices grouped by owning device id, owners in order of
+        first appearance, rows ascending.
+
+        The grouping is computed once, from one stable argsort of
+        :meth:`owner_ids`, and cached (this accessor is called per LP
+        build); treat the returned mapping as read-only.
         """
         cached = self.__dict__.get("_owner_rows")
         if cached is None:
-            groups: Dict[int, list] = {}
-            for row, task in enumerate(self.tasks):
-                groups.setdefault(task.owner_device_id, []).append(row)
+            owners = self.owner_ids()
+            order = np.argsort(owners, kind="stable")
+            starts = np.flatnonzero(np.diff(owners[order], prepend=-1) != 0)
+            groups = np.split(order, starts[1:]) if len(order) else []
             cached = {
-                owner: np.asarray(rows, dtype=int) for owner, rows in groups.items()
+                int(owners[group[0]]): group
+                for group in sorted(groups, key=lambda group: group[0])
             }
-            # Frozen dataclass: memoise via __dict__ to bypass __setattr__.
             self.__dict__["_owner_rows"] = cached
         return cached
+
+    def subset(self, rows: np.ndarray) -> "ClusterCosts":
+        """The table restricted to ``rows`` (in the given order)."""
+        sub = ClusterCosts(
+            tasks=tuple(map(self.tasks.__getitem__, rows.tolist())),
+            time_s=self.time_s[rows],
+            energy_j=self.energy_j[rows],
+            resource=self.resource[rows],
+            deadline_s=self.deadline_s[rows],
+        )
+        sub.__dict__["_owner_ids"] = self.owner_ids()[rows]
+        return sub
 
 
 #: Per-system memo of priced tables.  Keyed weakly by the system (identity)
@@ -228,42 +257,73 @@ _TABLE_CACHE: "WeakKeyDictionary[MECSystem, Dict[tuple, ClusterCosts]]" = (
 #: Retained tables per system; old entries are evicted FIFO beyond this.
 _TABLE_CACHE_PER_SYSTEM = 64
 
-#: Generator-supplied task arrays, keyed weakly by system.  The array-native
-#: generator already holds every task field as a flat array; registering them
-#: here lets :func:`_cluster_costs_vectorized` skip its per-task gather loop
-#: (the generate→costs fusion).  One entry per system: ``(tasks, arrays)``.
-_TASK_ARRAY_HINTS: "WeakKeyDictionary[MECSystem, tuple]" = WeakKeyDictionary()
+#: Registered task arrays, keyed weakly by system.  The array-native
+#: generator and the DTA accounting already hold every task field as a flat
+#: array; registering them here lets :func:`_cluster_costs_vectorized` skip
+#: its per-task gather loop (the generate→costs fusion).  Several task lists
+#: share one system (a DTA batch prices two plans and the holistic tasks of
+#: each scenario), so each system keeps its most recent entries, oldest
+#: evicted first beyond :data:`_TABLE_CACHE_PER_SYSTEM`.
+_TASK_ARRAY_HINTS: "WeakKeyDictionary[MECSystem, List[_ArrayHint]]" = (
+    WeakKeyDictionary()
+)
+
+
+@dataclass
+class _ArrayHint:
+    """One registered task list: its arrays and, once priced, its table.
+
+    The table is memoised here, by the identity of the registered tasks,
+    so a hinted lookup never hashes a task.
+    """
+
+    tasks: Tuple[Task, ...]
+    arrays: Optional[dict]
+    table: Optional[ClusterCosts] = None
 
 
 def register_task_arrays(system: MECSystem, tasks, arrays: dict) -> None:
     """Register the flat arrays a task list was materialised from.
 
     Called by :mod:`repro.workload.array_gen` after building a scenario's
-    tasks.  ``arrays`` must hold ``owner``/``source`` (int64 *positions* in
+    tasks, and by :mod:`repro.dta.accounting` before pricing a rearranged
+    plan.  ``arrays`` must hold ``owner``/``source`` (int64 *positions* in
     ``system.devices``, source -1 for None),
     ``alpha``/``beta``/``resource``/``deadline`` (float64) and ``has_ext``
     (bool), all parallel to ``tasks``.  Positions, not ids, so a tile
     generated in a city's global ids prices from the hint too.  The hint is
     advisory: the cost builder uses it only when the task tuple it is
     pricing is the *same objects* in the same order, and falls back to the
-    loop otherwise.
+    loop otherwise.  Registering the same tuple object again keeps its
+    entry (and its priced table).
     """
-    _TASK_ARRAY_HINTS[system] = (tuple(tasks), arrays)
+    task_tuple = tuple(tasks)
+    entries = _TASK_ARRAY_HINTS.get(system)
+    if entries is None:
+        entries = []
+        _TASK_ARRAY_HINTS[system] = entries
+    elif any(entry.tasks is task_tuple for entry in entries):
+        return
+    if len(entries) >= _TABLE_CACHE_PER_SYSTEM:
+        del entries[0]
+    entries.append(_ArrayHint(task_tuple, arrays))
 
 
-def _task_array_hint(system: MECSystem, tasks: Tuple[Task, ...]) -> Optional[dict]:
-    """The registered arrays for exactly this task tuple, if any."""
-    entry = _TASK_ARRAY_HINTS.get(system)
-    if entry is None:
+def _task_array_hint(
+    system: MECSystem, tasks: Tuple[Task, ...]
+) -> Optional[_ArrayHint]:
+    """The registered entry for exactly this task tuple, if any."""
+    entries = _TASK_ARRAY_HINTS.get(system)
+    if not entries:
         return None
-    stored, arrays = entry
-    if stored is not tasks:
-        if len(stored) != len(tasks):
-            return None
-        for stored_task, task in zip(stored, tasks):
-            if stored_task is not task:
-                return None
-    return arrays
+    for entry in reversed(entries):
+        if entry.tasks is tasks:
+            return entry
+    for entry in reversed(entries):
+        stored = entry.tasks
+        if len(stored) == len(tasks) and all(map(operator.is_, stored, tasks)):
+            return entry
+    return None
 
 
 def _cluster_costs_scalar(system: MECSystem, tasks: Tuple[Task, ...]) -> ClusterCosts:
@@ -289,13 +349,17 @@ def _cluster_costs_scalar(system: MECSystem, tasks: Tuple[Task, ...]) -> Cluster
 
 
 def _cluster_costs_vectorized(
-    system: MECSystem, tasks: Tuple[Task, ...]
+    system: MECSystem, tasks: Tuple[Task, ...], hint: Optional[dict] = None
 ) -> ClusterCosts:
     """Batched evaluation of the Section II formulas over task arrays.
 
     Every arithmetic step mirrors :func:`task_costs` operation for
     operation (same order, same associativity), so the resulting arrays are
     bit-identical to the scalar reference — asserted by the test suite.
+
+    :param hint: the registered arrays of ``tasks`` (see
+        :func:`register_task_arrays`); without them the fields are gathered
+        task by task.
     """
     n = len(tasks)
     params = system.parameters
@@ -315,7 +379,6 @@ def _cluster_costs_vectorized(
             system.cluster_of(device_id),
         )
 
-    hint = _task_array_hint(system, tasks)
     if hint is not None:
         # Generate→costs fusion: the array generator already produced every
         # task field as a flat array, owners and sources as positions in
@@ -441,13 +504,18 @@ def _cluster_costs_vectorized(
 
     time_s = np.column_stack((t_c1 + t_r1, t_c2 + t_r2, t_c3 + t_r3))
     energy_j = np.column_stack((e_r1 + e_c1, e_r2 + 0.0, e_r3 + 0.0))
-    return ClusterCosts(
+    table = ClusterCosts(
         tasks=tasks,
         time_s=time_s,
         energy_j=energy_j,
         resource=resource,
         deadline_s=deadline,
     )
+    if hint is not None:
+        table.__dict__["_owner_ids"] = np.fromiter(
+            system.devices, dtype=np.int64, count=len(system.devices)
+        )[hint["owner"]]
+    return table
 
 
 def cluster_costs(system: MECSystem, tasks: Sequence[Task]) -> ClusterCosts:
@@ -455,8 +523,11 @@ def cluster_costs(system: MECSystem, tasks: Sequence[Task]) -> ClusterCosts:
 
     The table is computed with the batched NumPy path and memoised per
     (system, tasks): the figure pipeline prices each scenario once instead
-    of once per algorithm.  Under a ``reference`` context every call runs
-    the scalar per-task pipeline afresh, bypassing the memo.
+    of once per algorithm.  Tasks registered with
+    :func:`register_task_arrays` are priced from their arrays and memoised
+    by identity on their entry; any other task list is memoised by value.
+    Under a ``reference`` context every call runs the scalar per-task
+    pipeline afresh, bypassing both memos.
 
     :param system: the MEC system.
     :param tasks: tasks to price (typically all tasks of one cluster).
@@ -464,6 +535,13 @@ def cluster_costs(system: MECSystem, tasks: Sequence[Task]) -> ClusterCosts:
     task_tuple = tuple(tasks)
     if current_context().reference:
         return _cluster_costs_scalar(system, task_tuple)
+
+    hint = _task_array_hint(system, task_tuple)
+    if hint is not None:
+        if hint.table is None:
+            hint.table = _cluster_costs_vectorized(system, hint.tasks, hint.arrays)
+            hint.arrays = None  # priced: later lookups need only the table
+        return hint.table
 
     per_system = _TABLE_CACHE.get(system)
     if per_system is None:

@@ -50,6 +50,9 @@ __all__ = [
 #: Column indices into the cost arrays.
 _DEVICE, _STATION, _CLOUD = 0, 1, 2
 
+#: Subsystem by integer value (CANCELLED = 0, then l = 1, 2, 3).
+_BY_CODE = tuple(Subsystem)
+
 
 @dataclass(frozen=True)
 class LPHTAOptions:
@@ -375,37 +378,48 @@ class _ClusterSlice:
     station_cap: float
 
 
-def _cluster_slices(
-    system: MECSystem, tasks: Sequence[Task], costs: ClusterCosts
-) -> List[_ClusterSlice]:
-    """Split a priced task set into independent per-cluster instances."""
-    by_cluster: Dict[int, List[int]] = {}
-    for row, task in enumerate(tasks):
-        by_cluster.setdefault(system.cluster_of(task.owner_device_id), []).append(row)
+def _cluster_slices(system: MECSystem, costs: ClusterCosts) -> List[_ClusterSlice]:
+    """Split a priced task set into independent per-cluster instances.
+
+    One stable argsort of the rows' clusters: stations ascending, each
+    cluster's rows in input order.
+    """
+    owners = costs.owner_ids()
+    devices, owner_index = np.unique(owners, return_inverse=True)
+    device_list = devices.tolist()
+    clusters = np.array(
+        [system.cluster_of(device_id) for device_id in device_list], dtype=np.int64
+    )[owner_index]
+    order = np.argsort(clusters, kind="stable")
+    starts = np.flatnonzero(np.diff(clusters[order], prepend=-1) != 0)
     slices: List[_ClusterSlice] = []
-    for station_id in sorted(by_cluster):
-        rows = by_cluster[station_id]
-        sub_costs = ClusterCosts(
-            tasks=tuple(costs.tasks[r] for r in rows),
-            time_s=costs.time_s[rows],
-            energy_j=costs.energy_j[rows],
-            resource=costs.resource[rows],
-            deadline_s=costs.deadline_s[rows],
-        )
+    for rows in np.split(order, starts[1:]) if len(order) else []:
+        sub_costs = costs.subset(rows)
+        station_id = int(clusters[rows[0]])
         device_caps = {
             device_id: system.device(device_id).max_resource
-            for device_id in {t.owner_device_id for t in sub_costs.tasks}
+            for device_id in np.unique(sub_costs.owner_ids()).tolist()
         }
         slices.append(
             _ClusterSlice(
                 station_id=station_id,
-                rows=tuple(rows),
+                rows=tuple(rows.tolist()),
                 costs=sub_costs,
                 device_caps=device_caps,
                 station_cap=system.station(station_id).max_resource,
             )
         )
     return slices
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """``0.0 + v[0] + v[1] + ...`` strictly left to right.
+
+    The bits of a Python loop's ``total += value``: ``np.add.accumulate``
+    never reorders or pairs, unlike ``np.sum`` and ``math.fsum``, and
+    unlike builtin ``sum`` of floats from Python 3.12 on (compensated).
+    """
+    return float(np.add.accumulate(np.concatenate(((0.0,), values)))[-1])
 
 
 def _round(
@@ -500,28 +514,44 @@ def lp_hta_cluster(
     else:
         cols = np.asarray(chosen, dtype=int)
         rows_n = np.arange(n)
-        # Python sum over the row-ordered values keeps the sequential float
-        # accumulation of the original per-row generator.
-        rounded_energy = float(sum(costs.energy_j[rows_n, cols].tolist()))
+        # The reference's left-to-right accumulation, on every Python.
+        rounded_energy = _sequential_sum(costs.energy_j[rows_n, cols])
 
         # Step 4: deadline repair.
-        by_column = (Subsystem.DEVICE, Subsystem.STATION, Subsystem.CLOUD)
-        decisions = [Subsystem.CANCELLED] * n
         rounded_ok = costs.time_s[rows_n, cols] <= costs.deadline_s
-        for row in np.flatnonzero(rounded_ok).tolist():
-            decisions[row] = by_column[cols[row]]
+        decisions = list(
+            map(_BY_CODE.__getitem__, np.where(rounded_ok, cols + 1, 0).tolist())
+        )
         for row in np.flatnonzero(~rounded_ok).tolist():
             feasible = costs.feasible_subsystems(row)
             if feasible:
                 best = max(feasible, key=lambda l: x_fractional[row, l])
-                decisions[row] = by_column[best]
+                decisions[row] = _BY_CODE[best + 1]
             # else: stays CANCELLED ("cancel T_ij and inform users").
 
     deadline_ok = costs.time_s <= costs.deadline_s[:, None]
 
-    # Step 5: per-device resource repair.
+    # Step 5: per-device resource repair.  The reference checks every
+    # device's load; otherwise one bincount finds the devices over their
+    # cap (a per-device sum in row order, the genexpr's bits) and only
+    # those enter the per-move loop, which re-checks the same load.
     owner_rows = costs.owner_rows()
-    for device_id, rows in owner_rows.items():
+    overloaded = list(owner_rows)
+    if not context.reference:
+        local = np.fromiter(decisions, dtype=np.intp, count=n) == Subsystem.DEVICE
+        devices, owner_index = np.unique(costs.owner_ids(), return_inverse=True)
+        loads = np.bincount(
+            owner_index[local],
+            weights=costs.resource[local],
+            minlength=len(devices),
+        )
+        caps = np.array(
+            [device_caps.get(device_id, float("inf")) for device_id in devices.tolist()]
+        )
+        over = set(devices[~(loads <= caps)].tolist())
+        overloaded = [device_id for device_id in overloaded if device_id in over]
+    for device_id in overloaded:
+        rows = owner_rows[device_id]
         cap = device_caps.get(device_id, float("inf"))
 
         def device_load() -> float:
@@ -548,13 +578,22 @@ def lp_hta_cluster(
                     break
                 decisions[r] = Subsystem.CANCELLED
 
-    # Step 6: station resource repair.
+    # Step 6: station resource repair (the same pre-check outside the
+    # reference).
     def station_load() -> float:
         return sum(
             costs.resource[r] for r in range(n) if decisions[r] is Subsystem.STATION
         )
 
-    if station_load() > station_cap:
+    if context.reference:
+        station_over = station_load() > station_cap
+    else:
+        codes = np.fromiter(decisions, dtype=np.intp, count=n)
+        station_over = (
+            _sequential_sum(costs.resource[codes == Subsystem.STATION])
+            > station_cap
+        )
+    if station_over:
         movable = [
             r for r in range(n)
             if decisions[r] is Subsystem.STATION and deadline_ok[r, _CLOUD]
@@ -572,13 +611,18 @@ def lp_hta_cluster(
                     break
                 decisions[r] = Subsystem.CANCELLED
 
-    final_energy = float(
-        sum(
-            costs.energy_j[row, decisions[row].column]
-            for row in range(n)
-            if decisions[row] is not Subsystem.CANCELLED
+    if context.reference:
+        final_energy = float(
+            sum(
+                costs.energy_j[row, decisions[row].column]
+                for row in range(n)
+                if decisions[row] is not Subsystem.CANCELLED
+            )
         )
-    )
+    else:
+        cols = np.fromiter(decisions, dtype=np.intp, count=n) - 1
+        assigned = np.flatnonzero(cols >= 0)
+        final_energy = _sequential_sum(costs.energy_j[assigned, cols[assigned]])
     delta = final_energy - rounded_energy
     lp_opt = float(lp_result.objective)
     theorem2 = 3.0 + max(delta, 0.0) / lp_opt if lp_opt > 0 else float("inf")
@@ -654,7 +698,7 @@ def lp_hta_batch(
     prepared = []
     for system, tasks in jobs:
         costs = cluster_costs(system, tasks)
-        prepared.append((tasks, costs, _cluster_slices(system, tasks, costs)))
+        prepared.append((tasks, costs, _cluster_slices(system, costs)))
 
     lp_results = iter(
         _solve_p2_ladder(

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.core.assignment import Assignment, Subsystem
 from repro.core.costs import ClusterCosts, cluster_costs
+from repro.core.hta import _cluster_slices
 from repro.core.task import Task
 from repro.system.topology import MECSystem
 
@@ -457,30 +458,14 @@ def lagrangian_hta(
     :param options: subgradient tunables.
     """
     costs = cluster_costs(system, tasks)
-    by_cluster: Dict[int, List[int]] = {}
-    for row, task in enumerate(tasks):
-        by_cluster.setdefault(system.cluster_of(task.owner_device_id), []).append(row)
-
     decisions: List[Subsystem] = [Subsystem.CANCELLED] * len(tasks)
     total_dual = 0.0
     merged_history: List[float] = []
-    for station_id in sorted(by_cluster):
-        rows = by_cluster[station_id]
-        sub_costs = ClusterCosts(
-            tasks=tuple(costs.tasks[r] for r in rows),
-            time_s=costs.time_s[rows],
-            energy_j=costs.energy_j[rows],
-            resource=costs.resource[rows],
-            deadline_s=costs.deadline_s[rows],
-        )
-        caps = {
-            device_id: system.device(device_id).max_resource
-            for device_id in {t.owner_device_id for t in sub_costs.tasks}
-        }
+    for cluster in _cluster_slices(system, costs):
         cluster_decisions, dual, history = _solve_cluster(
-            sub_costs, caps, system.station(station_id).max_resource, options
+            cluster.costs, cluster.device_caps, cluster.station_cap, options
         )
-        for local, decision in zip(rows, cluster_decisions):
+        for local, decision in zip(cluster.rows, cluster_decisions):
             decisions[local] = decision
         total_dual += dual
         merged_history = _merge_histories(merged_history, history)

@@ -278,7 +278,7 @@ def lp_hta_sharded(
         if any(system.cluster_members(station_id) for station_id in shard)
     )
     costs = cluster_costs(system, tasks)
-    slices = _cluster_slices(system, tasks, costs)
+    slices = _cluster_slices(system, costs)
     telemetry = context.telemetry
     # The ν = 0 solve's cluster reports and fractional cloud load.
     unpriced: List[Tuple[Tuple[ClusterReport, ...], float]] = []

@@ -30,9 +30,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Literal, Optional, Sequence, Tuple
 
-from repro.context import RunContext
+import numpy as np
+
+from repro.context import RunContext, current_context
+from repro.core import costs
 from repro.core.assignment import Assignment, Subsystem
-from repro.core.hta import HTAReport, LPHTAOptions, lp_hta, lp_hta_batch
+from repro.core.hta import (
+    HTAReport,
+    LPHTAOptions,
+    _sequential_sum,
+    lp_hta,
+    lp_hta_batch,
+)
 from repro.core.task import Task
 from repro.data.items import DataCatalog
 from repro.data.ownership import OwnershipMap
@@ -94,10 +103,107 @@ class DTAOutcome:
         return self.coverage.involved_devices
 
 
+@dataclass(frozen=True)
+class _PlanDevices:
+    """A plan's rows as indices into one table of the devices they name.
+
+    :param requester: per row, the parent owner's index into ``ids``.
+    :param executor: per row, the executor's index into ``ids``.
+    :param parent_key: per row, a number per distinct parent task id.
+    :param ids: the devices' ids, ascending.
+    :param cluster: per device, its station id.
+    """
+
+    requester: np.ndarray
+    executor: np.ndarray
+    parent_key: np.ndarray
+    ids: np.ndarray
+    cluster: np.ndarray
+
+    @classmethod
+    def of(cls, system: MECSystem, plan: RearrangedPlan) -> "_PlanDevices":
+        rows = plan.rows
+        n = len(rows.executor)
+        _, first, parent_index = np.unique(
+            rows.parent_row, return_index=True, return_inverse=True
+        )
+        parents = [plan.parents[row] for row in first.tolist()]
+        keys: Dict[Tuple[int, int], int] = {}
+        parent_key = np.array(
+            [keys.setdefault(parent.task_id, len(keys)) for parent in parents],
+            dtype=np.int64,
+        )
+        requester_id = np.array(
+            [parent.owner_device_id for parent in parents], dtype=np.int64
+        )
+        ids, device_index = np.unique(
+            np.concatenate((requester_id[parent_index], rows.executor)),
+            return_inverse=True,
+        )
+        return cls(
+            requester=device_index[:n],
+            executor=device_index[n:],
+            parent_key=parent_key[parent_index],
+            ids=ids,
+            cluster=np.array(
+                [system.cluster_of(device_id) for device_id in ids.tolist()],
+                dtype=np.int64,
+            ),
+        )
+
+    def wireless(self, system: MECSystem) -> list:
+        """The devices' radio profiles, in ``ids`` order."""
+        return [system.device(device_id).wireless for device_id in self.ids.tolist()]
+
+
+def _running_max(values: np.ndarray) -> float:
+    """``max(0.0, v[0], v[1], ...)``, a Python loop's running max."""
+    return max(0.0, float(values.max())) if values.size else 0.0
+
+
 def _op_info_costs(
-    system: MECSystem, plan: RearrangedPlan
+    system: MECSystem, plan: RearrangedPlan, devices: Optional[_PlanDevices] = None
 ) -> Tuple[float, float]:
     """(energy, max time) of distributing task descriptions.
+
+    One description per distinct (parent task id, executor), at that
+    pair's first row: the requester's upload, plus the executor's download
+    (and a BS–BS hop across clusters) when the executor is another device.
+    Elementwise over per-device tables of the same radio calls the
+    reference makes, summed in row order, so the floats match
+    :func:`_op_info_costs_reference` bit for bit.
+    """
+    if current_context().reference:
+        return _op_info_costs_reference(system, plan)
+    if devices is None:
+        devices = _PlanDevices.of(system, plan)
+    size = plan.op_info_bytes
+    radios = devices.wireless(system)
+    up_e = np.array([radio.upload_energy_j(size) for radio in radios])
+    up_t = np.array([radio.upload_time_s(size) for radio in radios])
+    down_e = np.array([radio.download_energy_j(size) for radio in radios])
+    down_t = np.array([radio.download_time_s(size) for radio in radios])
+    hop_e = system.bs_bs_link.transfer_energy_j(size)
+    hop_t = system.bs_bs_link.transfer_time_s(size)
+
+    pair = devices.parent_key * len(devices.ids) + devices.executor
+    first = np.sort(np.unique(pair, return_index=True)[1])
+    requester = devices.requester[first]
+    executor = devices.executor[first]
+    remote = executor != requester
+    cross = remote & (devices.cluster[executor] != devices.cluster[requester])
+    energy = np.where(cross, up_e[requester] + hop_e, up_e[requester])
+    energy = np.where(remote, energy + down_e[executor], energy)
+    time_s = np.where(cross, up_t[requester] + hop_t, up_t[requester])
+    time_s = np.where(remote, time_s + down_t[executor], time_s)
+    return _sequential_sum(energy), _running_max(time_s)
+
+
+def _op_info_costs_reference(
+    system: MECSystem, plan: RearrangedPlan
+) -> Tuple[float, float]:
+    """(energy, max time) of distributing task descriptions, row by row
+    (the reference path).
 
     The description size is one per-plan constant, so the radio costs are
     pure functions of the device involved: they are memoised per device
@@ -151,16 +257,72 @@ def _op_info_costs(
 
 
 def _partial_result_costs(
-    system: MECSystem, plan: RearrangedPlan, assignment: Assignment
+    system: MECSystem,
+    plan: RearrangedPlan,
+    assignment: Assignment,
+    devices: Optional[_PlanDevices] = None,
 ) -> Tuple[float, float]:
     """(energy, max time) of collecting partial results at requesters.
+
+    Per assigned row: the executor's uplink (device) or the cloud's WAN
+    hop (cloud) — nothing for the station, where the partial already sits
+    — plus a BS–BS hop when the requester is in another cluster.
+    Elementwise, in the reference's operation order, summed in row order:
+    bit for bit :func:`_partial_result_costs_reference`.
+    """
+    if current_context().reference:
+        return _partial_result_costs_reference(system, plan, assignment)
+    if devices is None:
+        devices = _PlanDevices.of(system, plan)
+    rows, cols = assignment._assigned_rows_cols()
+    result_model = system.parameters.result_size
+    if result_model.constant_bytes is not None:
+        partial = np.full(len(rows), float(result_model.constant_bytes))
+    else:
+        partial = result_model.ratio * plan.rows.part_bytes[rows]
+    sent = partial != 0
+    executor = devices.executor[rows]
+    requester = devices.requester[rows]
+    radios = devices.wireless(system)
+    tx_power = np.array([radio.tx_power_w for radio in radios])
+    up_rate = np.array([radio.upload_rate_bps for radio in radios])
+    cloud_link = system.bs_cloud_link
+    hop_link = system.bs_bs_link
+    bits = partial * BITS_PER_BYTE
+
+    on_device = cols == Subsystem.DEVICE.column
+    on_cloud = cols == Subsystem.CLOUD.column
+    # Result on the executor: push it up to its station.
+    air_s = np.where(sent, bits / up_rate[executor], 0.0)
+    energy = np.where(on_device, 0.0 + tx_power[executor] * air_s, 0.0)
+    time_s = np.where(on_device, 0.0 + air_s, 0.0)
+    # Result on the cloud: pull it down to the edge.
+    energy = np.where(on_cloud, 0.0 + cloud_link.energy_per_byte_j * partial, energy)
+    time_s = np.where(
+        on_cloud & sent,
+        0.0 + (cloud_link.latency_s + bits / cloud_link.bandwidth_bps),
+        time_s,
+    )
+    cross = devices.cluster[executor] != devices.cluster[requester]
+    energy = np.where(cross, energy + hop_link.energy_per_byte_j * partial, energy)
+    time_s = np.where(
+        cross & sent,
+        time_s + (hop_link.latency_s + bits / hop_link.bandwidth_bps),
+        time_s,
+    )
+    return _sequential_sum(energy), _running_max(time_s)
+
+
+def _partial_result_costs_reference(
+    system: MECSystem, plan: RearrangedPlan, assignment: Assignment
+) -> Tuple[float, float]:
+    """(energy, max time) of collecting partial results, row by row (the
+    reference path).
 
     Cluster co-residency is memoised per (executor, requester) pair.  The
     per-row radio costs are the radio/link formulas inlined — the same
     divisions and products in the same order (time on air first, energy =
-    power × time), so every float matches the method chain bit for bit —
-    because three method hops per sub-task row dominate this accounting
-    pass on large plans.
+    power × time), so every float matches the method chain bit for bit.
     """
     result_model = system.parameters.result_size
     energy = 0.0
@@ -229,7 +391,26 @@ def _final_result_costs(
 
 
 def _busiest_executor_time(plan: RearrangedPlan, assignment: Assignment) -> float:
-    """Max over devices of their summed sub-task latencies (parallel model)."""
+    """Max over devices of their summed sub-task latencies (parallel model).
+
+    One ``np.bincount`` per plan: each device's latencies summed in row
+    order, as :func:`_busiest_executor_time_reference` adds them.
+    """
+    if current_context().reference:
+        return _busiest_executor_time_reference(plan, assignment)
+    rows, cols = assignment._assigned_rows_cols()
+    if not rows.size:
+        return 0.0
+    _, executor = np.unique(plan.rows.executor[rows], return_inverse=True)
+    busy = np.bincount(executor, weights=assignment.costs.time_s[rows, cols])
+    return float(busy.max())
+
+
+def _busiest_executor_time_reference(
+    plan: RearrangedPlan, assignment: Assignment
+) -> float:
+    """Max over devices of their summed sub-task latencies, row by row
+    (the reference path)."""
     busy: Dict[int, float] = {}
     for row, subtask in enumerate(plan.subtasks):
         latency = assignment.task_latency_s(row)
@@ -238,6 +419,31 @@ def _busiest_executor_time(plan: RearrangedPlan, assignment: Assignment) -> floa
         owner = subtask.owner_device_id
         busy[owner] = busy.get(owner, 0.0) + latency
     return max(busy.values()) if busy else 0.0
+
+
+def _register_plan_arrays(system: MECSystem, plan: RearrangedPlan) -> None:
+    """Hand the plan's rows to the cost table builder, which then prices
+    the sub-tasks from arrays (see :func:`repro.core.costs.register_task_arrays`)."""
+    rows = plan.rows
+    n = len(rows.executor)
+    position = {device_id: k for k, device_id in enumerate(system.devices)}
+    executors, executor_index = np.unique(rows.executor, return_inverse=True)
+    costs.register_task_arrays(
+        system,
+        plan.subtasks,
+        {
+            "owner": np.array(
+                [position[device_id] for device_id in executors.tolist()],
+                dtype=np.int64,
+            )[executor_index],
+            "alpha": rows.part_bytes,
+            "beta": np.zeros(n),
+            "source": np.full(n, -1, dtype=np.int64),
+            "has_ext": np.zeros(n, dtype=bool),
+            "resource": rows.resource,
+            "deadline": rows.deadline,
+        },
+    )
 
 
 def evaluate_plan(
@@ -261,12 +467,16 @@ def evaluate_plan(
         skipped and pricing runs on it unchanged.
     """
     if hta_report is None:
-        hta_report = lp_hta(system, list(plan.subtasks), options, context=context)
+        _register_plan_arrays(system, plan)
+        hta_report = lp_hta(system, plan.subtasks, options, context=context)
     assignment = hta_report.assignment
 
     execution_energy = assignment.total_energy_j()
-    op_energy, op_time = _op_info_costs(system, plan)
-    partial_energy, partial_time = _partial_result_costs(system, plan, assignment)
+    devices = None if current_context().reference else _PlanDevices.of(system, plan)
+    op_energy, op_time = _op_info_costs(system, plan, devices)
+    partial_energy, partial_time = _partial_result_costs(
+        system, plan, assignment, devices
+    )
     final_energy, final_time = _final_result_costs(system, plan, catalog)
     processing_time = (
         op_time + _busiest_executor_time(plan, assignment) + partial_time + final_time
@@ -302,8 +512,10 @@ def evaluate_plans(
     :param options: LP-HTA tunables shared by every job.
     :param context: run configuration threaded through to LP-HTA.
     """
+    for system, plan, _ in jobs:
+        _register_plan_arrays(system, plan)
     reports = lp_hta_batch(
-        [(system, list(plan.subtasks)) for system, plan, _ in jobs],
+        [(system, plan.subtasks) for system, plan, _ in jobs],
         options,
         context=context,
     )

@@ -14,8 +14,10 @@ results aggregated, which :mod:`repro.dta.accounting` prices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.task import Task
 from repro.data.items import DataCatalog
@@ -25,6 +27,7 @@ from repro.units import KB
 __all__ = [
     "DEFAULT_OP_INFO_BYTES",
     "DEFAULT_SUBTASK_RESOURCE",
+    "PlanRows",
     "RearrangedPlan",
     "rearrange_tasks",
 ]
@@ -41,6 +44,55 @@ DEFAULT_SUBTASK_RESOURCE = 0.01
 
 
 @dataclass(frozen=True)
+class PlanRows:
+    """The (parent, executor) rows of a plan as parallel arrays.
+
+    Row *k* describes ``plan.subtasks[k]``.  Pricing, the DTA accounting
+    and LP-HTA's repair steps read these instead of walking the sub-task
+    objects.
+
+    :param parent_row: int64, the parent's position in the task sequence
+        the plan was rearranged from (rows of one parent share it).
+    :param executor: int64, the executing device id (the sub-task owner).
+    :param part_bytes: float64, the sub-task's input size α.
+    :param resource: float64, the sub-task's resource demand C.
+    :param deadline: float64, the sub-task's (inherited) deadline T.
+    """
+
+    parent_row: np.ndarray
+    executor: np.ndarray
+    part_bytes: np.ndarray
+    resource: np.ndarray
+    deadline: np.ndarray
+
+    @classmethod
+    def from_tasks(
+        cls, subtasks: Sequence[Task], parents: Sequence[Task]
+    ) -> "PlanRows":
+        """Rows read back from sub-task objects (hand-built plans).
+
+        Parents are numbered by identity in first-appearance order.
+        """
+        numbers: Dict[int, int] = {}
+        return cls(
+            parent_row=np.array(
+                [numbers.setdefault(id(p), len(numbers)) for p in parents],
+                dtype=np.int64,
+            ),
+            executor=np.array(
+                [t.owner_device_id for t in subtasks], dtype=np.int64
+            ),
+            part_bytes=np.array(
+                [t.local_bytes for t in subtasks], dtype=np.float64
+            ),
+            resource=np.array(
+                [t.resource_demand for t in subtasks], dtype=np.float64
+            ),
+            deadline=np.array([t.deadline_s for t in subtasks], dtype=np.float64),
+        )
+
+
+@dataclass(frozen=True)
 class RearrangedPlan:
     """The sub-task schedule produced by task rearrangement.
 
@@ -49,22 +101,32 @@ class RearrangedPlan:
     :param parents: for each sub-task, the original task it contributes to
         (parallel to ``subtasks``).
     :param op_info_bytes: size of one transmitted task description.
+    :param rows: the sub-tasks as parallel arrays; :func:`rearrange_tasks`
+        records them as it builds the sub-tasks, and a plan built without
+        them reads them back from the objects.
     """
 
     coverage: Coverage
     subtasks: Tuple[Task, ...]
     parents: Tuple[Task, ...]
     op_info_bytes: float = DEFAULT_OP_INFO_BYTES
+    rows: Optional[PlanRows] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.subtasks) != len(self.parents):
             raise ValueError("subtasks and parents must be parallel")
-        for subtask in self.subtasks:
-            if subtask.external_bytes != 0:
-                raise ValueError(
-                    "rearranged sub-tasks must have no external data "
-                    f"(got {subtask.task_id})"
-                )
+        if self.rows is None:
+            for subtask in self.subtasks:
+                if subtask.external_bytes != 0:
+                    raise ValueError(
+                        "rearranged sub-tasks must have no external data "
+                        f"(got {subtask.task_id})"
+                    )
+            object.__setattr__(
+                self, "rows", PlanRows.from_tasks(self.subtasks, self.parents)
+            )
+        elif len(self.rows.executor) != len(self.subtasks):
+            raise ValueError("rows must be parallel to subtasks")
 
     @property
     def num_subtasks(self) -> int:
@@ -110,6 +172,10 @@ def rearrange_tasks(
     indices: Dict[int, int] = {}  # next sub-task index per executor device
     subtasks: List[Task] = []
     parents: List[Task] = []
+    parent_rows: List[int] = []
+    executors: List[int] = []
+    part_sizes: List[float] = []
+    deadlines: List[float] = []
     coverage_sets = sorted(coverage.sets.items())  # hoisted: same per task
     sizes = catalog.sizes()
 
@@ -127,7 +193,9 @@ def rearrange_tasks(
                 overlapping = True
             item_owner[item] = device_id
 
-    for task in tasks:
+    new = object.__new__
+    set_field = object.__setattr__
+    for position, task in enumerate(tasks):
         if not task.divisible:
             raise ValueError(f"task {task.task_id} is not divisible")
         if not task.required_items:
@@ -149,6 +217,9 @@ def rearrange_tasks(
                 by_device.setdefault(item_owner[item], set()).add(item)
             # Sorted by device id — the exact emission order of the scan.
             parts = sorted(by_device.items())
+        deadline = task.deadline_s
+        operation = task.operation
+        first = len(subtasks)
         for device_id, part in parts:
             if not part:
                 continue
@@ -163,22 +234,35 @@ def rearrange_tasks(
             # __init__/__post_init__ are skipped because every validated
             # invariant holds by construction (part_bytes >= 0, no
             # external data, the parent's deadline is already positive).
-            subtask = object.__new__(Task)
-            object.__setattr__(subtask, "owner_device_id", device_id)
-            object.__setattr__(subtask, "index", index)
-            object.__setattr__(subtask, "local_bytes", part_bytes)
-            object.__setattr__(subtask, "external_bytes", 0.0)
-            object.__setattr__(subtask, "external_source", None)
-            object.__setattr__(subtask, "resource_demand", subtask_resource_demand)
-            object.__setattr__(subtask, "deadline_s", task.deadline_s)
-            object.__setattr__(subtask, "divisible", True)
-            object.__setattr__(subtask, "required_items", part)
-            object.__setattr__(subtask, "operation", task.operation)
+            subtask = new(Task)
+            set_field(subtask, "owner_device_id", device_id)
+            set_field(subtask, "index", index)
+            set_field(subtask, "local_bytes", part_bytes)
+            set_field(subtask, "external_bytes", 0.0)
+            set_field(subtask, "external_source", None)
+            set_field(subtask, "resource_demand", subtask_resource_demand)
+            set_field(subtask, "deadline_s", deadline)
+            set_field(subtask, "divisible", True)
+            set_field(subtask, "required_items", part)
+            set_field(subtask, "operation", operation)
             subtasks.append(subtask)
-            parents.append(task)
+            executors.append(device_id)
+            part_sizes.append(part_bytes)
+        emitted = len(subtasks) - first
+        parents.extend([task] * emitted)
+        parent_rows.extend([position] * emitted)
+        deadlines.extend([deadline] * emitted)
+    rows = PlanRows(
+        parent_row=np.array(parent_rows, dtype=np.int64),
+        executor=np.array(executors, dtype=np.int64),
+        part_bytes=np.array(part_sizes, dtype=np.float64),
+        resource=np.full(len(subtasks), float(subtask_resource_demand)),
+        deadline=np.array(deadlines, dtype=np.float64),
+    )
     return RearrangedPlan(
         coverage=coverage,
         subtasks=tuple(subtasks),
         parents=tuple(parents),
         op_info_bytes=op_info_bytes,
+        rows=rows,
     )

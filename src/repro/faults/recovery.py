@@ -52,6 +52,7 @@ from repro.core.hta import lp_hta
 from repro.core.task import Task
 from repro.des.replay import RealizedMetrics, replay_assignment
 from repro.obs.tracer import staged, traced
+from repro.policies import RECOVERY_POLICIES
 from repro.system.topology import MECSystem
 
 __all__ = [
@@ -64,9 +65,6 @@ __all__ = [
     "detect_threats",
     "surviving_system",
 ]
-
-#: Accepted recovery policy keys, in documentation order.
-RECOVERY_POLICIES: Tuple[str, ...] = ("none", "retry", "degrade", "reassign")
 
 _CLOUD_COL = Subsystem.CLOUD.column
 _LATENCY_TOLERANCE = 1e-9

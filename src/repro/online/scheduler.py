@@ -42,6 +42,7 @@ from repro.mobility.handover import attachment_at
 from repro.mobility.waypoint import RandomWaypointModel
 from repro.obs.tracer import record_span, span
 from repro.online.arrivals import TimedTask
+from repro.policies import ONLINE_POLICIES
 from repro.system.topology import MECSystem
 
 __all__ = [
@@ -52,9 +53,8 @@ __all__ = [
     "simulate_online",
 ]
 
-#: Accepted policy keys — registry lookups: lower-cased display names
-#: ("lp-hta", "hgos", "game") or registered aliases ("cloud" → AllToC).
-POLICIES = ("lp-hta", "hgos", "game", "cloud")
+#: Accepted policy keys (see :data:`repro.policies.ONLINE_POLICIES`).
+POLICIES = ONLINE_POLICIES
 _POLICIES = POLICIES
 
 

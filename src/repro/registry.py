@@ -47,9 +47,9 @@ from repro.core.baselines import (
     local_first,
     random_assignment,
 )
-from repro.core.costs import ClusterCosts, cluster_costs
+from repro.core.costs import cluster_costs
 from repro.core.exact import branch_and_bound_hta
-from repro.core.hta import lp_hta, lp_hta_batch
+from repro.core.hta import _cluster_slices, lp_hta, lp_hta_batch
 from repro.core.task import Task
 from repro.dta.accounting import evaluate_plans, prepare_dta, run_dta
 from repro.system.topology import MECSystem
@@ -400,33 +400,17 @@ def _assign_bnb_exact(
         (exact search does not cancel tasks).
     """
     costs = cluster_costs(system, tasks)
-    by_cluster: Dict[int, List[int]] = {}
-    for row, task in enumerate(tasks):
-        by_cluster.setdefault(system.cluster_of(task.owner_device_id), []).append(row)
-
     decisions: List[Subsystem] = [Subsystem.CANCELLED] * len(tasks)
-    for station_id in sorted(by_cluster):
-        rows = by_cluster[station_id]
-        sub_costs = ClusterCosts(
-            tasks=tuple(costs.tasks[r] for r in rows),
-            time_s=costs.time_s[rows],
-            energy_j=costs.energy_j[rows],
-            resource=costs.resource[rows],
-            deadline_s=costs.deadline_s[rows],
-        )
-        device_caps = {
-            device_id: system.device(device_id).max_resource
-            for device_id in {t.owner_device_id for t in sub_costs.tasks}
-        }
+    for cluster in _cluster_slices(system, costs):
         optimal = branch_and_bound_hta(
-            sub_costs, device_caps, system.station(station_id).max_resource
+            cluster.costs, cluster.device_caps, cluster.station_cap
         )
         if optimal is None:
             raise ValueError(
-                f"cluster {station_id} has no feasible full assignment; "
+                f"cluster {cluster.station_id} has no feasible full assignment; "
                 "the exact search cannot cancel tasks"
             )
-        for local_row, decision in zip(rows, optimal.decisions):
+        for local_row, decision in zip(cluster.rows, optimal.decisions):
             decisions[local_row] = decision
     return Assignment(costs, decisions)
 

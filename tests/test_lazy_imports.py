@@ -113,6 +113,30 @@ def test_default_figure_run_loads_no_scipy_linalg_or_networkx():
     }
 
 
+def test_cli_import_leaves_fault_and_online_machinery_unloaded():
+    # The policy names the CLI offers as choices live in repro.policies.
+    loaded = run_fresh(
+        """
+        import json, sys
+        import repro.cli
+        print(json.dumps(
+            [m for m in ("repro.faults", "repro.online.scheduler") if m in sys.modules]
+        ))
+        """
+    )
+    assert loaded == []
+
+
+def test_policy_names_are_the_implementations_names():
+    from repro.faults import RECOVERY_POLICIES
+    from repro.online.scheduler import POLICIES
+    from repro.policies import ONLINE_POLICIES
+    from repro.policies import RECOVERY_POLICIES as RECOVERY_NAMES
+
+    assert POLICIES is ONLINE_POLICIES
+    assert RECOVERY_POLICIES is RECOVERY_NAMES
+
+
 def test_fallback_rung_imports_scipy_and_keeps_its_bits():
     fresh = run_fresh(
         f"""
